@@ -25,8 +25,6 @@ const ARITY: usize = 16;
 const BUDGET: usize = 16;
 /// Instance seeds with a pinned reference cost; `--seed` picks one modulo this.
 pub const PINNED_SEEDS: u64 = 32;
-/// Times the instance files are minted; `setup_s` is the median.
-const SETUP_REPS: usize = 3;
 /// Fewest measured rounds (one solve of each size, and in the traced run one
 /// traced and one plain replay) per run.
 const MIN_ROUNDS: usize = 3;
@@ -120,14 +118,19 @@ pub fn run(env: &Env, seed: u64, seconds: f64, traced: bool) -> Result<Outcome, 
         .map(|n| env.work.join(format!("k16-{n}.json")))
         .collect();
 
+    // Set-up is minting both files. It is repeated before every round, so
+    // `setup_s`, the median, spans the run: the host's speed swings by up
+    // to 2× within ten seconds, and repeats back to back all see one speed.
     let mut setup = Vec::new();
-    for _ in 0..SETUP_REPS {
+    let mut set_up = || -> Result<(), String> {
         let t0 = Instant::now();
         for (size, input) in SIZES.iter().zip(&inputs) {
             mint(env, *size, instance_seed, input)?;
         }
         setup.push(t0.elapsed().as_secs_f64());
-    }
+        Ok(())
+    };
+    set_up()?;
 
     // One untimed solve pages the binary and the inputs in.
     solve(env, &inputs[0], &env.work.join("warmup-report.json"))?;
@@ -138,6 +141,7 @@ pub fn run(env: &Env, seed: u64, seconds: f64, traced: bool) -> Result<Outcome, 
     let large_pin = pinned[1][instance_seed as usize];
     let t0 = Instant::now();
     while runs.len() < 2 * MIN_ROUNDS || t0.elapsed().as_secs_f64() < seconds {
+        set_up()?;
         for (size, input) in inputs.iter().enumerate() {
             let report = env.work.join(format!("report-{}.json", runs.len()));
             let result = solve(env, input, &report)?;

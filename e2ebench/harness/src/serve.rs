@@ -5,7 +5,7 @@
 //!
 //! Every step of the schedule sends one 100-event churn batch to the next
 //! `BT(512)` tenant in turn, and after every `solve_every`-th batch a `Solve`
-//! of the `BT(4096)` probe tenant, due at the same time. The headline
+//! of the `BT(2000)` probe tenant, due at the same time. The headline
 //! latency is the `Solve`'s, from its due time to its answer: timing from
 //! the due time, not from the send, makes a stall of the daemon or of the
 //! sender show in every request scheduled behind it. (`soar loadtest --rate`
@@ -14,10 +14,11 @@
 //! shared 2-core host moves them by ±30% from run to run; they are reported
 //! per layer.
 //!
-//! A run is: warm-up and a reference phase at the reference rate (`main_*`),
-//! a phase at a second fixed rate (`side_*`), and in the traced run a ladder
-//! of rising offered rates (`run.max_rate_rps`). After the window every
-//! served `SolveOutcome` is checked against an offline replay.
+//! A run is: a warm-up at the reference rate, then alternating blocks at the
+//! reference rate (`main_*`) and at a second fixed rate (`side_*`), and in
+//! the traced run a ladder of rising offered rates (`run.max_rate_rps`).
+//! After the window every served `SolveOutcome` is checked against an
+//! offline replay.
 
 use crate::child::Daemon;
 use crate::stats::{median, quantile, tail};
@@ -65,8 +66,13 @@ pub struct Workload {
 /// 256 resident `BT(512)` tenants at k = 8 with the write-ahead log on and
 /// 100-event churn batches, so decode, admission, batching, WAL append and
 /// `DynamicInstance::apply` do the work; one `Solve` per 64 batches goes to
-/// a resident `BT(4096)` probe tenant at k = 16 that receives no churn: the
-/// latency of a read under write load.
+/// a resident `BT(2000)` probe tenant at k = 16 that receives no churn: the
+/// latency of a read under write load. The probe is just below
+/// `PARALLEL_GATHER_MIN_SWITCHES` (2048), so its gather runs on one thread:
+/// a `BT(4096)` probe's level-parallel gather ran 7 ms when the host woke
+/// the second core promptly and 11–13 ms — no faster than one thread — when
+/// it did not, in spells of tens of seconds, so whole runs came out fast or
+/// slow.
 pub const SERVE_CHURN: Workload = Workload {
     name: "serve-churn",
     tenants: 256,
@@ -74,20 +80,23 @@ pub const SERVE_CHURN: Workload = Workload {
     budget: 8,
     events_per_batch: 100,
     solve_every: 64,
-    probe: (4096, 16),
+    probe: (2000, 16),
     ref_rate: 1000.0,
     side_rate: 1500.0,
     rate_cap: 16000.0,
     limit_ms: 50.0,
 };
 
-/// Daemon start-ups per run; `setup_s` is the median.
-const SETUP_REPS: usize = 3;
+/// Register seed of the probe tenant, for every run seed.
+const PROBE_SEED: u64 = 1;
 const WARMUP_SECS: f64 = 0.5;
 /// Shares of `--seconds` at the reference and at the side rate. The traced
 /// run spends half as long on each and the rest on the ladder.
 const REF_SHARE: f64 = 0.6;
 const SIDE_SHARE: f64 = 0.4;
+/// Blocks each of the two rates is cut into; the blocks alternate, so a
+/// spell of a slow host falls on both rates alike.
+const BLOCKS: usize = 8;
 /// Ratio between consecutive coarse ladder rungs.
 const LADDER_STEP: f64 = 1.25;
 /// Bisection probes between the last passing and the first failing rung.
@@ -168,7 +177,10 @@ enum Instrument {
     Alternate,
 }
 
-/// The churned tenants `0..w.tenants`, then the probe tenant.
+/// The churned tenants `0..w.tenants`, then the probe tenant. The probe has
+/// the same loads for every seed: how long its `Solve` takes depends on the
+/// loads (the pruned kernel cuts rows by their values), and the probes of
+/// two seeds differed by about 10%.
 fn plans(w: &Workload, seed: u64) -> Vec<TenantPlan> {
     let shapes = (0..w.tenants).map(|_| (w.switches, w.budget));
     shapes
@@ -178,7 +190,11 @@ fn plans(w: &Workload, seed: u64) -> Vec<TenantPlan> {
             tenant,
             switches,
             budget,
-            register_seed: seed.wrapping_mul(1_000_003).wrapping_add(tenant),
+            register_seed: if tenant == w.tenants {
+                PROBE_SEED
+            } else {
+                seed.wrapping_mul(1_000_003).wrapping_add(tenant)
+            },
             stream_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (tenant << 20) ^ 0x5eed,
             events_per_batch: w.events_per_batch,
         })
@@ -422,10 +438,12 @@ struct PhaseStats {
     achieved_rps: f64,
 }
 
-fn phase_stats(slots: &[Slot]) -> PhaseStats {
+fn phase_stats<'a>(slots: impl IntoIterator<Item = &'a Slot>) -> PhaseStats {
     let mut stats = PhaseStats::default();
-    let mut last_done = 0;
+    let (mut first_due, mut last_done, mut sent) = (u64::MAX, 0, 0u64);
     for slot in slots {
+        sent += 1;
+        first_due = first_due.min(slot.due_ns);
         if slot.timed_out || slot.status == Status::Pending {
             stats.timeouts += 1;
             continue;
@@ -438,9 +456,9 @@ fn phase_stats(slots: &[Slot]) -> PhaseStats {
             _ => stats.errors += 1,
         }
     }
-    if let Some(first) = slots.first() {
-        let span = (last_done.saturating_sub(first.due_ns)) as f64 / 1e9;
-        let answered = (slots.len() as u64 - stats.timeouts) as f64;
+    if sent > 0 {
+        let span = (last_done.saturating_sub(first_due)) as f64 / 1e9;
+        let answered = (sent - stats.timeouts) as f64;
         stats.achieved_rps = if span > 0.0 { answered / span } else { 0.0 };
     }
     stats
@@ -510,18 +528,18 @@ pub fn run(
     let plans = plans(w, seed);
     let state_dir = env.work.join("state");
 
-    let mut setup = Vec::new();
-    let mut daemon = None;
-    for rep in 0..SETUP_REPS {
-        let (d, secs) = start_daemon(env, &plans, &state_dir)?;
+    let (daemon, secs) = start_daemon(env, &plans, &state_dir)?;
+    let mut setup = vec![secs];
+    // `setup_s` is the median over this daemon's start-up and that of a
+    // throwaway daemon after every pair of blocks, so it spans the run: the
+    // host's speed swings by up to 2× within ten seconds, and start-ups
+    // back to back all see one speed.
+    let spare_dir = env.work.join("spare-state");
+    let mut spare_setup = || -> Result<(), String> {
+        let (spare, secs) = start_daemon(env, &plans, &spare_dir)?;
         setup.push(secs);
-        if rep + 1 < SETUP_REPS {
-            shutdown(d)?;
-        } else {
-            daemon = Some(d);
-        }
-    }
-    let daemon = daemon.expect("the last daemon is kept");
+        shutdown(spare)
+    };
 
     let shared = Shared {
         slots: Mutex::new(Vec::new()),
@@ -546,21 +564,23 @@ pub fn run(
         crate::sys::set_timer_slack_ns(1);
         // The daemon's metrics and peak memory describe the fixed-rate
         // phases: they are read before the ladder overloads it.
-        let observed = fixed_phases(&mut load, seconds, traced).and_then(|mut phases| {
-            let mut control = Client::connect(&daemon.addr).map_err(|e| format!("connect: {e}"))?;
-            let snapshot = match call(&mut control, RequestBody::Metrics)? {
-                ResponseBody::MetricsReport { json } => {
-                    serde_json::from_str::<MetricsSnapshot>(&json)
-                        .map_err(|e| format!("metrics snapshot: {e}"))?
+        let observed =
+            fixed_phases(&mut load, seconds, traced, &mut spare_setup).and_then(|mut phases| {
+                let mut control =
+                    Client::connect(&daemon.addr).map_err(|e| format!("connect: {e}"))?;
+                let snapshot = match call(&mut control, RequestBody::Metrics)? {
+                    ResponseBody::MetricsReport { json } => {
+                        serde_json::from_str::<MetricsSnapshot>(&json)
+                            .map_err(|e| format!("metrics snapshot: {e}"))?
+                    }
+                    other => return Err(format!("metrics: {other:?}")),
+                };
+                let hwm = daemon.vm_hwm_kb().map_err(|e| format!("VmHWM: {e}"))?;
+                if traced {
+                    ladder(&mut load, seconds, &mut phases)?;
                 }
-                other => return Err(format!("metrics: {other:?}")),
-            };
-            let hwm = daemon.vm_hwm_kb().map_err(|e| format!("VmHWM: {e}"))?;
-            if traced {
-                ladder(&mut load, seconds, &mut phases)?;
-            }
-            Ok((phases, snapshot, hwm))
-        });
+                Ok((phases, snapshot, hwm))
+            });
         // Shutdown also ends the data connection and with it the receiver.
         let stopped = shutdown(daemon);
         let received = receiver
@@ -604,52 +624,58 @@ pub fn run(
     // the fixed-rate phases. Overload on the ladder only fails that rung.
     let stats: Vec<PhaseStats> = phases
         .iter()
-        .map(|r| phase_stats(&slots[r.clone()]))
+        .map(|p| phase_stats(&slots[p.slots.clone()]))
         .collect();
     let mut failed = mismatches;
-    for (i, phase) in stats.iter().enumerate() {
-        let fixed_rate = i <= 2;
-        if phase.errors + phase.shed + phase.timeouts > 0 {
+    for (i, (phase, stats)) in phases.iter().zip(&stats).enumerate() {
+        let fixed_rate = phase.kind != PhaseKind::Ladder;
+        if stats.errors + stats.shed + stats.timeouts > 0 {
             eprintln!(
-                "{}: phase {i}{}: {} errors, {} shed, {} timed out",
-                w.name,
-                if fixed_rate { "" } else { " (ladder)" },
-                phase.errors,
-                phase.shed,
-                phase.timeouts
+                "{}: phase {i} ({:?}): {} errors, {} shed, {} timed out",
+                w.name, phase.kind, stats.errors, stats.shed, stats.timeouts
             );
         }
-        failed += phase.errors;
+        failed += stats.errors;
         if fixed_rate {
-            failed += phase.shed + phase.timeouts;
+            failed += stats.shed + stats.timeouts;
         }
     }
     let attempted = slots.len() as u64;
 
-    let mut metrics = Metrics::default();
-    let (main, side) = (&stats[1].solves, &stats[2].solves);
-    if traced {
-        // The highest passing phase's throughput; the reference phase's when
-        // none meets the limit.
-        let max_rate = stats[1..]
+    // Every slot of the blocks of one kind, in send order.
+    let of_kind = |kind: PhaseKind| -> Vec<&Slot> {
+        phases
             .iter()
-            .filter(|phase| phase.passes(w.limit_ms))
-            .map(|phase| phase.achieved_rps)
+            .filter(|p| p.kind == kind)
+            .flat_map(|p| &slots[p.slots.clone()])
+            .collect()
+    };
+    let main = phase_stats(of_kind(PhaseKind::Main)).solves;
+    let side = phase_stats(of_kind(PhaseKind::Side)).solves;
+    let mut metrics = Metrics::default();
+    if traced {
+        // The highest passing block's or rung's throughput; the first
+        // reference block's when none meets the limit.
+        let max_rate = phases
+            .iter()
+            .zip(&stats)
+            .filter(|(p, stats)| p.kind != PhaseKind::Warmup && stats.passes(w.limit_ms))
+            .map(|(_, stats)| stats.achieved_rps)
             .reduce(f64::max)
             .unwrap_or(stats[1].achieved_rps);
-        metrics.set("run.main_tail_ms", tail(main).0);
-        metrics.set("run.side_tail_ms", tail(side).0);
+        metrics.set("run.main_tail_ms", tail(&main).0);
+        metrics.set("run.side_tail_ms", tail(&side).0);
         metrics.set("run.max_rate_rps", max_rate);
         metrics.set("run.peak_rss_mb", hwm_kb as f64 / 1024.0);
-        let reference = &slots[phases[1].clone()];
-        layer_metrics(reference, &snapshot, &replays, &state_dir, &mut metrics);
+        let reference = of_kind(PhaseKind::Main);
+        layer_metrics(&reference, &snapshot, &replays, &state_dir, &mut metrics);
     } else {
         metrics.set("setup_s", median(&setup));
-        metrics.set("main_p50_ms", windowed_median(main));
-        metrics.set("side_p50_ms", windowed_median(side));
+        metrics.set("main_p50_ms", windowed_median(&main));
+        metrics.set("side_p50_ms", windowed_median(&side));
         metrics.set(
             "main_side_ratio",
-            windowed_median(main) / windowed_median(side),
+            windowed_median(&main) / windowed_median(&side),
         );
         metrics.set("ok_share", 1.0 - failed as f64 / attempted as f64);
     }
@@ -661,7 +687,10 @@ pub fn run(
         w.ref_rate,
         side.len(),
         w.side_rate,
-        phases.len() - 3,
+        phases
+            .iter()
+            .filter(|p| p.kind == PhaseKind::Ladder)
+            .count(),
         replays.iter().map(|r| r.checked).sum::<u64>(),
     );
     Ok(Outcome {
@@ -672,31 +701,65 @@ pub fn run(
     })
 }
 
-/// Runs the warm-up, reference and side-rate phases; returns each phase's
-/// slot range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PhaseKind {
+    Warmup,
+    /// A block at the reference rate.
+    Main,
+    /// A block at the side rate.
+    Side,
+    Ladder,
+}
+
+/// One phase of the load and its slot range.
+struct Phase {
+    kind: PhaseKind,
+    slots: Range<usize>,
+}
+
+/// Runs the warm-up, then [`BLOCKS`] alternating blocks at the reference
+/// and at the side rate, calling `between` after every pair.
 fn fixed_phases(
     load: &mut LoadGen,
     seconds: f64,
     traced: bool,
-) -> Result<Vec<Range<usize>>, String> {
+    between: &mut dyn FnMut() -> Result<(), String>,
+) -> Result<Vec<Phase>, String> {
     let w = load.w;
     let (share, instrument) = if traced {
         (0.5, Instrument::Alternate)
     } else {
         (1.0, Instrument::Off)
     };
-    Ok(vec![
-        load.phase(w.ref_rate, WARMUP_SECS, Instrument::Off)?,
-        load.phase(w.ref_rate, seconds * share * REF_SHARE, instrument)?,
-        load.phase(w.side_rate, seconds * share * SIDE_SHARE, Instrument::Off)?,
-    ])
+    let each = seconds * share / BLOCKS as f64;
+    let mut phases = vec![Phase {
+        kind: PhaseKind::Warmup,
+        slots: load.phase(w.ref_rate, WARMUP_SECS, Instrument::Off)?,
+    }];
+    for _ in 0..BLOCKS {
+        phases.push(Phase {
+            kind: PhaseKind::Main,
+            slots: load.phase(w.ref_rate, each * REF_SHARE, instrument)?,
+        });
+        phases.push(Phase {
+            kind: PhaseKind::Side,
+            slots: load.phase(w.side_rate, each * SIDE_SHARE, Instrument::Off)?,
+        });
+        between()?;
+    }
+    Ok(phases)
 }
 
 /// The traced run's ladder, appending its probes to `phases`.
-fn ladder(load: &mut LoadGen, seconds: f64, phases: &mut Vec<Range<usize>>) -> Result<(), String> {
+fn ladder(load: &mut LoadGen, seconds: f64, phases: &mut Vec<Phase>) -> Result<(), String> {
     let w = load.w;
-    // The side phase is the ladder's first rung.
-    if !phase_stats(&load.shared.lock()[phases[2].clone()]).passes(w.limit_ms) {
+    // The last side-rate block is the ladder's first rung.
+    let side = phases
+        .last()
+        .expect("the side-rate blocks ran")
+        .slots
+        .clone();
+    if !phase_stats(&load.shared.lock()[side]).passes(w.limit_ms) {
         return Ok(());
     }
 
@@ -707,8 +770,8 @@ fn ladder(load: &mut LoadGen, seconds: f64, phases: &mut Vec<Range<usize>>) -> R
     // from the host does not end the ladder.
     let mut probe = |rate: f64| -> Result<bool, String> {
         for _ in 0..2 {
-            let range = load.phase(rate, probe_secs, Instrument::Off)?;
-            let stats = phase_stats(&load.shared.lock()[range.clone()]);
+            let slots = load.phase(rate, probe_secs, Instrument::Off)?;
+            let stats = phase_stats(&load.shared.lock()[slots.clone()]);
             let passes = stats.passes(w.limit_ms);
             eprintln!(
                 "{}: ladder {rate:.0} req/s: {} (answered {:.0}/s, tail {:.2} ms, {} shed)",
@@ -718,7 +781,10 @@ fn ladder(load: &mut LoadGen, seconds: f64, phases: &mut Vec<Range<usize>>) -> R
                 tail(&stats.solves).0,
                 stats.shed
             );
-            phases.push(range);
+            phases.push(Phase {
+                kind: PhaseKind::Ladder,
+                slots,
+            });
             if passes {
                 return Ok(true);
             }
@@ -749,28 +815,33 @@ fn ladder(load: &mut LoadGen, seconds: f64, phases: &mut Vec<Range<usize>>) -> R
     Ok(())
 }
 
-/// The `serve.*` layer metrics of the reference phase `reference`, from the
-/// load's own timings, the daemon's snapshot and the offline replays.
+/// The `serve.*` layer metrics of the reference-rate blocks `reference`,
+/// from the load's own timings, the daemon's snapshot and the offline
+/// replays.
 fn layer_metrics(
-    reference: &[Slot],
+    reference: &[&Slot],
     snap: &MetricsSnapshot,
     replays: &[Replay],
     state_dir: &Path,
     metrics: &mut Metrics,
 ) {
-    let stats = phase_stats(reference);
+    let stats = phase_stats(reference.iter().copied());
     let lag: Vec<f64> = reference
         .iter()
         .map(|s| s.sent_ns.saturating_sub(s.due_ns) as f64 / 1e6)
         .collect();
-    let instrumented: Vec<&Slot> = reference.iter().filter(|s| s.instrumented).collect();
+    let instrumented: Vec<&Slot> = reference
+        .iter()
+        .copied()
+        .filter(|s| s.instrumented)
+        .collect();
     let of = |f: fn(&Slot) -> f64| median(&instrumented.iter().map(|s| f(s)).collect::<Vec<_>>());
     // Solves of the reference phase, split by instrumentation.
     let solve_latency = |instrumented: bool| -> Vec<f64> {
         reference
             .iter()
             .filter(|s| s.kind == Kind::Solve && s.ok() && s.instrumented == instrumented)
-            .map(Slot::latency_ms)
+            .map(|s| s.latency_ms())
             .collect()
     };
     let plain_p50 = median(&solve_latency(false));
