@@ -1,4 +1,18 @@
 //! JSON rendering and parsing for the local serde shim's [`serde::Value`] model.
+//!
+//! Decoding takes time and memory linear in the input size. Strings are copied
+//! a run at a time: the parser scans to the next `"` or `\`, checks the run
+//! once and appends it in one step, so a 4 MB string costs one pass, not one
+//! pass per character.
+//!
+//! Arrays and objects may nest at most 128 levels, the limit
+//! the published `serde_json` uses. A deeper document is an
+//! `Err("recursion limit exceeded")`, not a stack overflow.
+//!
+//! Strings follow the JSON grammar strictly. A raw control byte below 0x20 is
+//! an error, as is a `\u` escape whose four digits are not all hex. A UTF-16
+//! surrogate pair such as `"\ud83d\ude00"` decodes to the one character it
+//! encodes (😀), and a lone surrogate is an error.
 
 #![forbid(unsafe_code)]
 
@@ -47,7 +61,7 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
 pub fn parse_value(input: &str) -> Result<Value, Error> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse(bytes, &mut pos)?;
+    let value = parse(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing characters at offset {pos}")));
@@ -160,8 +174,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), Error> {
     }
 }
 
-fn parse(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Deepest nesting of arrays and objects the parser accepts.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(Error("recursion limit exceeded".into()));
+    }
     match bytes.get(*pos) {
         None => Err(Error("unexpected end of input".into())),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -177,7 +198,7 @@ fn parse(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse(bytes, pos)?);
+                items.push(parse(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -202,7 +223,7 @@ fn parse(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse(bytes, pos)?;
+                let value = parse(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -237,49 +258,88 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next `"` or `\` in one step. Both are ASCII,
+        // so the run ends on a character boundary and validates on its own.
+        let start = *pos;
+        while let Some(&byte) = bytes.get(*pos) {
+            match byte {
+                b'"' | b'\\' => break,
+                0..=0x1f => {
+                    return Err(Error(format!(
+                        "control character {byte:#04x} in string at offset {pos:?}"
+                    )))
+                }
+                _ => *pos += 1,
+            }
+        }
+        let run =
+            std::str::from_utf8(&bytes[start..*pos]).map_err(|_| Error("invalid UTF-8".into()))?;
+        out.push_str(run);
         match bytes.get(*pos) {
             None => return Err(Error("unterminated string".into())),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| Error("bad \\u escape".into()))?,
-                            16,
-                        )
-                        .map_err(|_| Error("bad \\u escape".into()))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(Error(format!("bad escape {other:?}"))),
-                }
-                *pos += 1;
-            }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error("invalid UTF-8".into()))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                *pos += 1;
+                parse_escape(bytes, pos, &mut out)?;
             }
         }
     }
+}
+
+/// Decodes the escape after a `\` at `*pos` onto `out`.
+fn parse_escape(bytes: &[u8], pos: &mut usize, out: &mut String) -> Result<(), Error> {
+    let escape = bytes.get(*pos).copied();
+    *pos += 1;
+    match escape {
+        Some(b'"') => out.push('"'),
+        Some(b'\\') => out.push('\\'),
+        Some(b'/') => out.push('/'),
+        Some(b'n') => out.push('\n'),
+        Some(b'r') => out.push('\r'),
+        Some(b't') => out.push('\t'),
+        Some(b'b') => out.push('\u{8}'),
+        Some(b'f') => out.push('\u{c}'),
+        Some(b'u') => {
+            let unit = parse_hex4(bytes, pos)?;
+            let code = match unit {
+                0xd800..=0xdbff => {
+                    if bytes.get(*pos..*pos + 2) != Some(b"\\u") {
+                        return Err(Error(format!("lone surrogate \\u{unit:04x}")));
+                    }
+                    *pos += 2;
+                    let low = parse_hex4(bytes, pos)?;
+                    if !(0xdc00..=0xdfff).contains(&low) {
+                        return Err(Error(format!("lone surrogate \\u{unit:04x}")));
+                    }
+                    0x10000 + ((u32::from(unit) - 0xd800) << 10) + (u32::from(low) - 0xdc00)
+                }
+                0xdc00..=0xdfff => return Err(Error(format!("lone surrogate \\u{unit:04x}"))),
+                _ => u32::from(unit),
+            };
+            out.push(char::from_u32(code).expect("surrogates are handled above"));
+        }
+        other => return Err(Error(format!("bad escape {other:?}"))),
+    }
+    Ok(())
+}
+
+/// Reads the four hex digits of a `\u` escape at `*pos`.
+fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u16, Error> {
+    let digits = bytes
+        .get(*pos..*pos + 4)
+        .ok_or_else(|| Error("truncated \\u escape".into()))?;
+    let mut unit = 0u16;
+    for &digit in digits {
+        let value = char::from(digit)
+            .to_digit(16)
+            .ok_or_else(|| Error("bad \\u escape".into()))?;
+        unit = unit << 4 | value as u16;
+    }
+    *pos += 4;
+    Ok(unit)
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
@@ -374,5 +434,116 @@ mod tests {
         assert!(parse_value("[1,]").is_err());
         assert!(parse_value("nope").is_err());
         assert!(parse_value("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nested(MAX_DEPTH + 1)).is_err());
+        for deep in ["[".repeat(200_000), r#"{"a":"#.repeat(200_000)] {
+            let err = parse_value(&deep).unwrap_err();
+            assert_eq!(err, Error("recursion limit exceeded".into()));
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+        // Escapes are spelled as `\` + `u` + four hex digits.
+        let u = |hex: &str| format!("\\u{hex}");
+        let json = format!(r#""{}{}""#, u("d83d"), u("de00"));
+        assert_eq!(parse_value(&json).unwrap(), Value::Str("😀".into()));
+        let json = format!(r#""a{}{}b""#, u("D834"), u("DD1E"));
+        assert_eq!(parse_value(&json).unwrap(), Value::Str("a𝄞b".into()));
+        let high_then_bmp = format!(r#""{}{}""#, u("d83d"), u("0041"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            high_then_bmp.as_str(),
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            assert!(parse_value(lone).is_err(), "{lone} must be rejected");
+        }
+    }
+
+    #[test]
+    fn string_grammar_is_strict() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00g0""#,
+            r#""\u00""#,
+            r#""\x""#,
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "\"nul\u{0}\"",
+            "\"unterminated",
+        ] {
+            assert!(parse_value(bad).is_err(), "{bad:?} must be rejected");
+        }
+        let json = ["0041", "00e9", "20AC"]
+            .map(|hex| format!("\\u{hex}"))
+            .concat();
+        assert_eq!(
+            parse_value(&format!(r#""{json}""#)).unwrap(),
+            Value::Str("A\u{e9}\u{20ac}".into())
+        );
+    }
+
+    #[test]
+    fn strings_round_trip_through_write_and_parse() {
+        let samples = [
+            String::new(),
+            "plain ascii".to_owned(),
+            "2-byte é ß, 3-byte € 中文, 4-byte 😀 𝄞".to_owned(),
+            "\" \\ / \n \r \t \u{8} \u{c} \u{0} \u{1f}".to_owned(),
+            "mixed: a\u{0}é\"€\\😀\n".repeat(3),
+            (0u32..0x300).filter_map(char::from_u32).collect(),
+        ];
+        for s in samples {
+            let mut json = String::new();
+            write_string(&s, &mut json);
+            assert_eq!(parse_value(&json).unwrap(), Value::Str(s.clone()), "{json}");
+        }
+        // Every short escape the grammar allows, including the ones the writer
+        // never emits.
+        assert_eq!(
+            parse_value(r#""\"\\\/\b\f\n\r\t\u0000""#).unwrap(),
+            Value::Str("\"\\/\u{8}\u{c}\n\r\t\u{0}".into())
+        );
+    }
+
+    #[test]
+    fn decoding_is_linear_in_the_input() {
+        // One 4 MB string (mostly ASCII with multi-byte characters and escapes
+        // mixed in) and an object with 200 000 keys. Per-character work that
+        // rescans the rest of the input takes hours here; a linear parser takes
+        // well under a second even in a debug build.
+        let chunk = "abcdefghijklmnopqrstuvwxyz0123456789 é€😀 \\n\\\"\\u00e9 ";
+        let long = chunk.repeat(4_000_000 / chunk.len());
+        let mut json = format!(r#"{{"long":"{long}","keys":{{"#);
+        for i in 0..200_000 {
+            if i > 0 {
+                json.push(',');
+            }
+            json.push_str(&format!(r#""k{i}":{i}"#));
+        }
+        json.push_str("}}");
+
+        let started = std::time::Instant::now();
+        let value = parse_value(&json).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            json.len()
+        );
+        let decoded = value.get("long").and_then(Value::as_str).unwrap();
+        assert_eq!(decoded.matches('😀').count(), long.matches('😀').count());
+        assert!(decoded.ends_with("\n\"é "));
+        let keys = value.get("keys").and_then(Value::as_object).unwrap();
+        assert_eq!(keys.len(), 200_000);
+        assert_eq!(keys[199_999], ("k199999".into(), Value::UInt(199_999)));
     }
 }

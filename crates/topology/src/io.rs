@@ -1,7 +1,8 @@
 //! Import/export helpers: Graphviz DOT rendering and a JSON-friendly exchange format.
 //!
-//! [`Tree`] itself derives `serde::{Serialize, Deserialize}`, so it can be stored
-//! directly with any serde format. This module additionally provides:
+//! [`Tree`] itself implements `serde::{Serialize, Deserialize}` (deserializing
+//! validates the structure), so it can be stored directly with any serde
+//! format. This module additionally provides:
 //!
 //! * [`to_dot`] — a Graphviz rendering (switches, loads, rates and optionally a
 //!   coloring), convenient for eyeballing small instances such as the paper's figures;

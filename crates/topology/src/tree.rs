@@ -210,14 +210,25 @@ impl TreeBuilder {
 /// The weighted, loaded aggregation tree.
 ///
 /// See the [crate-level documentation](crate) for the modelling conventions.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct Tree {
     nodes: Vec<Node>,
     height: usize,
 }
 
+impl Deserialize for Tree {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        // A document is outside input: its nodes go through the same validation
+        // as a built tree, and `height`, derived from them, is recomputed.
+        Tree::from_nodes(serde::field(value, "nodes")?)
+            .map_err(|e| serde::Error::msg(e.to_string()))
+    }
+}
+
 impl Tree {
     /// Builds a tree from a raw node arena, validating structure and rates.
+    ///
+    /// Runs in time linear in the number of switches, however wide the nodes.
     pub(crate) fn from_nodes(nodes: Vec<Node>) -> Result<Self, TreeError> {
         if nodes.is_empty() {
             return Err(TreeError::Empty);
@@ -225,6 +236,9 @@ impl Tree {
         if nodes[ROOT].parent.is_some() {
             return Err(TreeError::Inconsistent("node 0 must be the root".into()));
         }
+        let n = nodes.len();
+        let mut listed = vec![false; n];
+        let mut n_listed = 0;
         for (id, node) in nodes.iter().enumerate() {
             if !(node.rate.is_finite() && node.rate > 0.0) {
                 return Err(TreeError::InvalidRate(format!(
@@ -236,7 +250,7 @@ impl Tree {
                 let p = node.parent.ok_or_else(|| {
                     TreeError::Inconsistent(format!("non-root node {id} has no parent"))
                 })?;
-                if p >= nodes.len() {
+                if p >= n {
                     return Err(TreeError::UnknownParent(p));
                 }
                 if p >= id {
@@ -246,11 +260,6 @@ impl Tree {
                         "node {id} has parent {p} >= its own id; parents must be added first"
                     )));
                 }
-                if !nodes[p].children.contains(&id) {
-                    return Err(TreeError::Inconsistent(format!(
-                        "node {p} does not list {id} as a child"
-                    )));
-                }
                 if node.depth != nodes[p].depth + 1 {
                     return Err(TreeError::Inconsistent(format!(
                         "node {id} depth {} is not parent depth + 1",
@@ -258,6 +267,31 @@ impl Tree {
                     )));
                 }
             }
+            for &child in &node.children {
+                if child >= n {
+                    return Err(TreeError::UnknownNode(child));
+                }
+                if nodes[child].parent != Some(id) {
+                    return Err(TreeError::Inconsistent(format!(
+                        "node {id} lists {child} as a child, but {child}'s parent is {:?}",
+                        nodes[child].parent
+                    )));
+                }
+                if std::mem::replace(&mut listed[child], true) {
+                    return Err(TreeError::Inconsistent(format!(
+                        "node {id} lists {child} twice"
+                    )));
+                }
+            }
+            n_listed += node.children.len();
+        }
+        // Every listed child names its lister as parent and is listed once, so
+        // listing n - 1 children means every non-root node is its parent's child.
+        if n_listed != n - 1 {
+            return Err(TreeError::Inconsistent(format!(
+                "child lists name {n_listed} switches, expected {}",
+                n - 1
+            )));
         }
         let height = nodes.iter().map(|n| n.depth).max().unwrap_or(0);
         Ok(Tree { nodes, height })
@@ -654,7 +688,7 @@ impl Tree {
         }
     }
 
-    /// Validates internal invariants; used by property tests and after deserialization.
+    /// Validates internal invariants; used by property tests.
     pub fn validate(&self) -> Result<(), TreeError> {
         Tree::from_nodes(self.nodes.clone()).map(|_| ())
     }
@@ -913,6 +947,53 @@ mod tests {
         b.root(1.0);
         assert!(matches!(b.child(7, 1.0), Err(TreeError::UnknownParent(7))));
         assert!(b.set_load(9, 1).is_err());
+    }
+
+    #[test]
+    fn from_nodes_checks_child_lists_against_parents() {
+        let nodes = fig2_tree().nodes;
+        let broken = |edit: fn(&mut Vec<Node>)| {
+            let mut nodes = nodes.clone();
+            edit(&mut nodes);
+            Tree::from_nodes(nodes)
+        };
+        assert!(broken(|_| ()).is_ok());
+        // A child id past the arena.
+        assert!(matches!(
+            broken(|n| n[0].children = vec![1, 99]),
+            Err(TreeError::UnknownNode(99))
+        ));
+        // A listed child whose parent is another node.
+        assert!(broken(|n| n[0].children = vec![1, 3]).is_err());
+        // A child listed twice, leaving its sibling unlisted.
+        assert!(broken(|n| n[0].children = vec![1, 1]).is_err());
+        // A child its parent does not list.
+        assert!(broken(|n| n[0].children = vec![1]).is_err());
+    }
+
+    #[test]
+    fn deserialization_validates_the_tree() {
+        let json = serde_json::to_string(&fig2_tree()).unwrap();
+        assert_eq!(serde_json::from_str::<Tree>(&json).unwrap(), fig2_tree());
+        let bad = json.replacen(r#""children":[1,2]"#, r#""children":[1,99]"#, 1);
+        assert_ne!(bad, json);
+        let err = serde_json::from_str::<Tree>(&bad).unwrap_err();
+        assert!(err.to_string().contains("99"), "{err}");
+    }
+
+    #[test]
+    fn a_wide_star_builds_in_linear_time() {
+        // Checking each child against its parent's list scans the root's
+        // 200 000 children once per child: minutes in a debug build. The
+        // linear check takes milliseconds.
+        let started = std::time::Instant::now();
+        let star = crate::builders::star(200_000);
+        let elapsed = started.elapsed();
+        assert_eq!(star.n_children(ROOT), 199_999);
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "star(200 000) took {elapsed:?}"
+        );
     }
 
     #[test]

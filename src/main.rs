@@ -29,8 +29,8 @@
 //! (see `soar_exp::template`), resolved relative to the including file.
 //! Exit codes: `0` on success, `1` on operational failures (missing files, a
 //! failed golden check, a perf regression), `2` on usage errors and invalid
-//! spec documents. Argument parsing is hand-rolled — the build environment is
-//! offline, so no external CLI crates.
+//! spec or instance documents. Argument parsing is hand-rolled — the build
+//! environment is offline, so no external CLI crates.
 
 use soar::core::api::{solvers, Instance, SolveReport, Solver, TopologySpec};
 use soar::exp::history;
@@ -177,7 +177,7 @@ fn write_file(path: &str, contents: &str) -> CliResult {
 
 fn read_instance(path: &str) -> Result<Instance, CliError> {
     serde_json::from_str::<Instance>(&read_file(path)?)
-        .map_err(|e| CliError::failure(format!("{path} is not an Instance document: {e}")))
+        .map_err(|e| CliError::invalid(format!("{path} is not an Instance document: {e}")))
 }
 
 fn read_artifact(path: &str) -> Result<RunArtifact, CliError> {
@@ -194,9 +194,22 @@ fn resolve_solver(name: &str) -> Result<Box<dyn Solver>, CliError> {
     })
 }
 
-fn print_report(report: &SolveReport) {
-    println!(
-        "{:<12} instance {:<24} cost {:>12.4}  normalized {:>8.5}  blue {:>4}/{:<4}  wall {:>9.3} ms",
+/// Writes `text` to stdout. A reader that has gone away (`soar solve … | head -1`)
+/// is not an error: the text is dropped and the command still finishes its work,
+/// such as writing `--out`.
+fn emit(text: &str) -> CliResult {
+    use std::io::Write;
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::failure(format!("writing to stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
+fn print_report(report: &SolveReport) -> CliResult {
+    emit(&format!(
+        "{:<12} instance {:<24} cost {:>12.4}  normalized {:>8.5}  blue {:>4}/{:<4}  wall {:>9.3} ms\n",
         report.solver,
         report.instance,
         report.solution.cost,
@@ -204,16 +217,17 @@ fn print_report(report: &SolveReport) {
         report.solution.blue_used,
         report.solution.budget,
         report.wall_time.as_secs_f64() * 1e3,
-    );
+    ))?;
     if let Some(dp) = &report.dp {
-        println!(
-            "{:<12} dp: {} switches, {} cells, {:.1} kB tables",
+        emit(&format!(
+            "{:<12} dp: {} switches, {} cells, {:.1} kB tables\n",
             "",
             dp.n_switches,
             dp.table_cells,
             dp.table_bytes as f64 / 1e3
-        );
+        ))?;
     }
+    Ok(())
 }
 
 /// Provenance spec for artifacts produced from an explicit instance file.
@@ -265,12 +279,12 @@ fn cmd_solve(args: &[String]) -> CliResult {
     let instance = read_instance(input)?;
     let solver = resolve_solver(solver_name)?;
     let report = solver.solve(&instance);
-    print_report(&report);
+    print_report(&report)?;
     if let Some(path) = out {
         let json = serde_json::to_string_pretty(&report)
             .map_err(|e| CliError::failure(format!("serializing the report: {e}")))?;
         write_file(path, &(json + "\n"))?;
-        println!("wrote {path}");
+        emit(&format!("wrote {path}\n"))?;
     }
     Ok(())
 }
@@ -321,7 +335,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
     }
     chart.push(cost);
     chart.push(normalized);
-    print!("{}", chart.to_table());
+    emit(&chart.to_table())?;
 
     if let Some(path) = out {
         let spec = adhoc_spec("sweep", &instance, vec!["soar".into()], budgets);
@@ -329,7 +343,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
         let mut artifact = RunArtifact::new(spec, vec![chart], dp);
         artifact.reports = reports;
         write_file(path, &artifact.to_json())?;
-        println!("wrote {path}");
+        emit(&format!("wrote {path}\n"))?;
     }
     Ok(())
 }
@@ -372,7 +386,7 @@ fn cmd_compare(args: &[String]) -> CliResult {
     for name in &names {
         let solver = resolve_solver(name)?;
         let report = solver.solve(&instance);
-        print_report(&report);
+        print_report(&report)?;
         let mut series = Series::new(soar::exp::run::paper_label(name));
         series.push(instance.budget() as f64, report.solution.cost);
         chart.push(series);
@@ -385,7 +399,7 @@ fn cmd_compare(args: &[String]) -> CliResult {
         let mut artifact = RunArtifact::new(spec, vec![chart], dp);
         artifact.reports = reports;
         write_file(path, &artifact.to_json())?;
-        println!("wrote {path}");
+        emit(&format!("wrote {path}\n"))?;
     }
     Ok(())
 }

@@ -89,12 +89,8 @@ fn usage_errors_exit_2() {
 
 #[test]
 fn operational_failures_exit_1() {
-    let tmp = TempDir::new("fail");
-    let garbage = tmp.path_str("garbage.json");
-    std::fs::write(tmp.path("garbage.json"), "this is not json").unwrap();
     for args in [
         &["solve", "--in", "/nonexistent-instance.json"][..],
-        &["solve", "--in", &garbage][..],
         &["experiment", "run", "no-such-experiment"][..],
         &[
             "experiment",
@@ -112,6 +108,74 @@ fn operational_failures_exit_1() {
             stderr(&output)
         );
     }
+}
+
+/// Writes a 3-switch star instance whose JSON `edit` rewrites, and returns its path.
+fn write_edited_instance(tmp: &TempDir, name: &str, edit: impl Fn(&str) -> String) -> String {
+    let instance = Instance::builder()
+        .topology(TopologySpec::Star { n_switches: 3 })
+        .leaf_loads(LoadSpec::Explicit(vec![1, 2]))
+        .budget(1)
+        .build()
+        .unwrap();
+    let json = serde_json::to_string(&instance).unwrap();
+    let edited = edit(&json);
+    assert_ne!(edited, json, "{name}: the edit must change the document");
+    std::fs::write(tmp.path(name), edited).unwrap();
+    tmp.path_str(name)
+}
+
+#[test]
+fn malformed_instance_files_exit_2() {
+    let tmp = TempDir::new("malformed");
+    let garbage = write_edited_instance(&tmp, "garbage.json", |_| "this is not json".into());
+    let truncated = write_edited_instance(&tmp, "truncated.json", |json| {
+        json[..json.len() / 2].to_owned()
+    });
+    let bad_child = write_edited_instance(&tmp, "bad-child.json", |json| {
+        json.replacen(r#""children":[1,2]"#, r#""children":[1,99]"#, 1)
+    });
+    let deep = write_edited_instance(&tmp, "deep.json", |_| "[".repeat(200_000));
+    for (path, reason) in [
+        (&garbage, "is not an Instance document"),
+        (&truncated, "is not an Instance document"),
+        (&bad_child, "99"),
+        (&deep, "recursion limit exceeded"),
+    ] {
+        for command in ["solve", "compare"] {
+            let output = run(&[command, "--in", path]);
+            let err = stderr(&output);
+            assert_eq!(output.status.code(), Some(2), "{command} {path}: {err}");
+            assert!(err.starts_with("error: ") && err.contains(reason), "{err}");
+            assert!(!err.contains("panicked"), "{err}");
+        }
+    }
+}
+
+#[test]
+fn a_closed_stdout_does_not_stop_solve() {
+    let tmp = TempDir::new("pipe");
+    write_instance(&tmp.path("instance.json"), 2);
+    let instance = tmp.path_str("instance.json");
+    let report = tmp.path_str("report.json");
+    // Hand the child a pipe whose read end is already closed, so its first
+    // print fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("creating a pipe");
+    drop(reader);
+    let output = soar_bin()
+        .args(["solve", "--in", &instance, "--out", &report])
+        .stdout(writer)
+        .output()
+        .expect("spawning soar");
+    let err = stderr(&output);
+    assert_eq!(output.status.code(), Some(0), "{err}");
+    assert!(
+        !err.contains("panicked") && !err.contains("Broken pipe"),
+        "{err}"
+    );
+    let report: SolveReport =
+        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    assert_eq!(report.solution.cost, 20.0);
 }
 
 #[test]
