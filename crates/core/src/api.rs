@@ -483,14 +483,10 @@ pub struct DpStats {
     /// the incremental-solve speedup reported by the `dynamic_churn` bench.
     #[cfg_attr(feature = "serde", serde(default))]
     pub cells_written: usize,
-    /// The effective `mCost` kernel the gather ran (serialized as its stable
-    /// name: `"scalar" | "pruned" | "tiled"`). See
-    /// [`DpKernel`](crate::node_dp::DpKernel).
+    /// The `mCost` kernel the gather ran (serialized as its stable name:
+    /// `"scalar" | "pruned"`). See [`DpKernel`](crate::node_dp::DpKernel).
     #[cfg_attr(feature = "serde", serde(default))]
     pub kernel: DpKernel,
-    /// Column tiles the tiled kernel executed (0 for the other kernels).
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub tiles: usize,
     /// Split candidates the monotonicity-based pruning skipped relative to the
     /// full quadratic arg-min search (0 for the scalar kernel). Deterministic
     /// for a given instance shape and kernel.
@@ -510,8 +506,7 @@ impl DpStats {
             arena_peak_bytes: tables.memory_bytes(),
             alloc_events: 0,
             cells_written: tables.table_cells(),
-            kernel: DpKernel::Auto.resolve(),
-            tiles: 0,
+            kernel: DpKernel::default(),
             pruned_splits: 0,
         }
     }
@@ -528,7 +523,6 @@ impl DpStats {
             alloc_events: workspace.last_alloc_events(),
             cells_written: workspace.last_cells_written(),
             kernel: workspace.last_kernel(),
-            tiles: workspace.last_tiles(),
             pruned_splits: workspace.last_pruned_splits(),
         }
     }

@@ -10,14 +10,16 @@
 //!
 //! ## Traversal and storage
 //!
-//! The pass walks the tree **level by level, deepest first** — a valid bottom-up
-//! order (all children of a node sit exactly one level deeper) that doubles as the
-//! parallel schedule: nodes of one level touch disjoint arena blocks and only read
-//! the already-finalized deeper region, so [`soar-pool`](soar_pool) can fill a
-//! level's stripes concurrently ([`run_gather_parallel`]). Children's `X` tables
-//! are **borrowed as slices** from the [`GatherTables`] arena — the per-node
-//! `clone()` of every child table that earlier revisions performed is gone, and a
-//! warm [`SolverWorkspace`](crate::workspace::SolverWorkspace) runs the whole pass
+//! One driver, [`run_gather`], walks the tree **level by level, deepest first** —
+//! a valid bottom-up order (all children of a node sit exactly one level deeper)
+//! that doubles as the parallel schedule: nodes of one level touch disjoint arena
+//! blocks and only read the already-finalized deeper region. A full pass fills
+//! every node of each level; an incremental pass (`gather_update`) refills only a
+//! dirty closure, grouped by depth. Without a pool each level runs inline on the
+//! calling thread; with a [`soar-pool`](soar_pool) pool the level is carved into
+//! contiguous stripes that fill concurrently. Children's `X` tables are
+//! **borrowed as slices** from the [`GatherTables`] arena, so a warm
+//! [`SolverWorkspace`](crate::workspace::SolverWorkspace) runs the whole pass
 //! without a single heap allocation.
 //!
 //! The complexity is `O(n · h(T) · k²)` time as in Theorem 4.1.
@@ -28,10 +30,56 @@ use soar_pool::ThreadPool;
 use soar_topology::{NodeId, Tree};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// A position in the gather arenas: offsets into `x`, the `y_*` pair and
+/// `splits`, which advance at different rates (compressed arenas give some
+/// nodes no `Y` block, and only multi-child nodes have splits).
+#[derive(Clone, Copy, Default)]
+struct ArenaPos {
+    cell: usize,
+    y: usize,
+    split: usize,
+}
+
+/// A mutable lease on a contiguous run of the arenas, starting at `base`.
+struct Lease<'a> {
+    x: &'a mut [f64],
+    y_blue: &'a mut [f64],
+    y_red: &'a mut [f64],
+    splits: &'a mut [u32],
+    base: ArenaPos,
+}
+
+impl<'a> Lease<'a> {
+    /// Splits this lease at arena position `at`: returns the part before it and
+    /// keeps the rest (which then starts at `at`).
+    fn split_front(&mut self, at: ArenaPos) -> Lease<'a> {
+        let (x, x_rest) = std::mem::take(&mut self.x).split_at_mut(at.cell - self.base.cell);
+        let (y_blue, yb_rest) = std::mem::take(&mut self.y_blue).split_at_mut(at.y - self.base.y);
+        let (y_red, yr_rest) = std::mem::take(&mut self.y_red).split_at_mut(at.y - self.base.y);
+        let (splits, sp_rest) =
+            std::mem::take(&mut self.splits).split_at_mut(at.split - self.base.split);
+        let front = Lease {
+            x,
+            y_blue,
+            y_red,
+            splits,
+            base: self.base,
+        };
+        *self = Lease {
+            x: x_rest,
+            y_blue: yb_rest,
+            y_red: yr_rest,
+            splits: sp_rest,
+            base: at,
+        };
+        front
+    }
+}
+
 /// Shared read-only state for filling the nodes of one level — the single home
-/// of the per-node offset arithmetic, used identically by the sequential pass
-/// (whole-level regions, zero bases) and the parallel pass (carved stripes with
-/// stripe bases), which is what keeps the two bit-identical by construction.
+/// of the per-node offset arithmetic, used identically by the inline level and
+/// by every pool stripe, which is what keeps the two bit-identical by
+/// construction.
 struct LevelFill<'a> {
     tree: &'a Tree,
     n_i: usize,
@@ -53,56 +101,101 @@ struct LevelFill<'a> {
 }
 
 impl LevelFill<'_> {
-    /// Fills node `v`'s table inside region slices whose first cell sits at
-    /// arena offset `cell_base` (respectively `y_base` / `split_base` for the
-    /// `Y` and split regions). Children's `X` tables are borrowed from
-    /// `x_children`. Returns the scratch growth count.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_one(
-        &self,
-        v: NodeId,
-        x: &mut [f64],
-        y_blue: &mut [f64],
-        y_red: &mut [f64],
-        splits: &mut [u32],
-        cell_base: usize,
-        y_base: usize,
-        split_base: usize,
-        scratch: &mut DpScratch,
-    ) -> usize {
-        let rows = self.n_l[v] as usize;
-        let cells = rows * self.n_i;
-        let off = self.cell_off[v] - cell_base;
-        let sp_off = self.split_off[v] - split_base;
-        let children = self.tree.children(v);
-        // Elided nodes get empty `Y` destinations; fill_node skips the writes
-        // and `GatherTables::y_value` recomputes the values on demand.
-        let y_cells = if self.compressed && children.len() <= 1 {
+    /// Cells of node `v`'s `Y` blocks: 0 when elided (≤1 child in a compressed
+    /// arena), its table size otherwise.
+    fn y_cells(&self, v: NodeId) -> usize {
+        if self.compressed && self.split_len[v] == 0 {
             0
         } else {
-            cells
-        };
-        let yo = self.y_off[v] - y_base;
-        fill_node(
-            NodeTableMut {
-                x: &mut x[off..off + cells],
-                y_blue: &mut y_blue[yo..yo + y_cells],
-                y_red: &mut y_red[yo..yo + y_cells],
-                splits: &mut splits[sp_off..sp_off + self.split_len[v]],
-            },
-            &self.rho[self.rho_off[v]..self.rho_off[v] + rows],
-            self.tree.load(v),
-            self.tree.available(v),
-            self.n_i,
-            children.len(),
-            children.iter().map(|&c| {
-                let c_cells = self.n_l[c] as usize * self.n_i;
-                let c_off = self.cell_off[c] - self.boundary;
-                &self.x_children[c_off..c_off + c_cells]
-            }),
-            scratch,
-            self.kernel,
-        )
+            self.n_l[v] as usize * self.n_i
+        }
+    }
+
+    /// Arena position of node `v`'s first cell.
+    fn start_of(&self, v: NodeId) -> ArenaPos {
+        ArenaPos {
+            cell: self.cell_off[v],
+            y: self.y_off[v],
+            split: self.split_off[v],
+        }
+    }
+
+    /// Arena position one past node `v`'s last cell.
+    fn end_of(&self, v: NodeId) -> ArenaPos {
+        ArenaPos {
+            cell: self.cell_off[v] + self.n_l[v] as usize * self.n_i,
+            y: self.y_off[v] + self.y_cells(v),
+            split: self.split_off[v] + self.split_len[v],
+        }
+    }
+
+    /// Fills every node of `nodes` inside `lease`, which must cover their
+    /// blocks. Returns the scratch growth count.
+    fn fill(&self, nodes: &[NodeId], lease: Lease<'_>, scratch: &mut DpScratch) -> usize {
+        let Lease {
+            x,
+            y_blue,
+            y_red,
+            splits,
+            base,
+        } = lease;
+        let mut grew = 0;
+        for &v in nodes {
+            let rows = self.n_l[v] as usize;
+            let start = self.start_of(v);
+            let end = self.end_of(v);
+            let children = self.tree.children(v);
+            // Elided nodes get empty `Y` destinations; fill_node skips the
+            // writes and `GatherTables::y_value` recomputes them on demand.
+            grew += fill_node(
+                NodeTableMut {
+                    x: &mut x[start.cell - base.cell..end.cell - base.cell],
+                    y_blue: &mut y_blue[start.y - base.y..end.y - base.y],
+                    y_red: &mut y_red[start.y - base.y..end.y - base.y],
+                    splits: &mut splits[start.split - base.split..end.split - base.split],
+                },
+                &self.rho[self.rho_off[v]..self.rho_off[v] + rows],
+                self.tree.load(v),
+                self.tree.available(v),
+                self.n_i,
+                children.len(),
+                children.iter().map(|&c| {
+                    let c_off = self.cell_off[c] - self.boundary;
+                    &self.x_children[c_off..c_off + self.n_l[c] as usize * self.n_i]
+                }),
+                scratch,
+                self.kernel,
+            );
+        }
+        grew
+    }
+
+    /// Fills `nodes` on `pool`: up to `pool.threads()` contiguous stripes, one
+    /// job (and one scratch) each, carved off the front of `lease` in arena
+    /// order.
+    fn fill_on_pool(
+        &self,
+        nodes: &[NodeId],
+        mut lease: Lease<'_>,
+        scratches: &mut [DpScratch],
+        pool: &ThreadPool,
+    ) -> usize {
+        let grew = AtomicUsize::new(0);
+        let per_stripe = nodes.len().div_ceil(pool.threads());
+        pool.scope(|s| {
+            for (stripe, scratch) in nodes.chunks(per_stripe).zip(scratches.iter_mut()) {
+                let stripe_lease = lease.split_front(self.end_of(stripe[stripe.len() - 1]));
+                let grew = &grew;
+                s.spawn(move || {
+                    let _stripe = soar_obs::span!("gather_stripe", stripe.len());
+                    let local = self.fill(stripe, stripe_lease, scratch);
+                    if local > 0 {
+                        grew.fetch_add(local, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        grew.into_inner()
     }
 }
 
@@ -114,27 +207,69 @@ impl LevelFill<'_> {
 /// across gathers.
 pub fn soar_gather(tree: &Tree, k: usize) -> GatherTables {
     let mut tables = GatherTables::new(tree, k);
-    let mut scratch = DpScratch::new();
-    run_gather(&mut tables, tree, &mut scratch, DpKernel::Auto);
+    run_gather(
+        &mut tables,
+        tree,
+        None,
+        &mut Vec::new(),
+        None,
+        DpKernel::default(),
+    );
     tables
 }
 
-/// Fills already-laid-out tables bottom-up, sequentially. Returns the number of
-/// scratch-buffer growths (0 when `scratch` is warm).
+/// Fills already-laid-out tables bottom-up, deepest level first. Returns the
+/// number of scratch-buffer growths (0 when the scratches are warm).
+///
+/// `dirty: None` fills every node (a full pass). `Some(dirty)` refills only
+/// those nodes — the incremental update behind `soar-online`'s epoch solves.
+/// The set must then be **ancestor-closed** (a parent reads its children's `X`
+/// tables, so a stale ancestor would fold refreshed child values into an old
+/// table) and **sorted deepest-first**. Nodes outside the set keep their values
+/// from the previous pass; since their loads, availability, ρ blocks and child
+/// tables are unchanged, those values are exactly what a full pass would
+/// recompute, so the partial pass is bit-identical to a full one. The layout
+/// (tree shape, budget) must match the pass that filled the tables; callers go
+/// through [`SolverWorkspace::gather_update`](crate::workspace::SolverWorkspace::gather_update),
+/// which checks that. Link *rates* may have changed: every dirty node's ρ
+/// prefix block is recomputed before the refill (bit-identical when the rates
+/// are unchanged), and a changed up-link of `w` must dirty all of `subtree(w)`.
+///
+/// Without a `pool`, each level runs inline on the calling thread with
+/// `scratches[0]`, leasing the whole level region (dirty nodes of one depth need
+/// not be in arena order). With a pool, each level is carved into at most
+/// `pool.threads()` contiguous stripes, one job and one scratch each; children
+/// are finalized before their parents because levels are separated by the
+/// scope barrier. The pool path needs the level's nodes in arena order, which
+/// a full pass guarantees. Either way the per-node computation is the same, so
+/// the results do not depend on the thread count.
 pub(crate) fn run_gather(
     tables: &mut GatherTables,
     tree: &Tree,
-    scratch: &mut DpScratch,
+    dirty: Option<&[NodeId]>,
+    scratches: &mut Vec<DpScratch>,
+    pool: Option<&ThreadPool>,
     kernel: DpKernel,
 ) -> usize {
+    debug_assert!(
+        dirty.is_none() || pool.is_none(),
+        "pool stripes need a full level in arena order"
+    );
+    let stripes = pool.map_or(1, ThreadPool::threads);
+    while scratches.len() < stripes {
+        // DpScratch::new is heap-free; its buffers grow inside fill_node, where
+        // the growth is counted.
+        scratches.push(DpScratch::new());
+    }
+    for &v in dirty.unwrap_or_default() {
+        tables.refresh_rho_node(tree, v);
+    }
+    let mut pending = dirty.unwrap_or_default();
     let mut grew = 0;
-    let n_i = tables.n_i;
-    for d in (0..tables.level_ranges.len()).rev() {
-        let _level = soar_obs::span!("gather_level", d);
-        let (start, end) = tables.level_ranges[d];
-        let boundary = tables.level_cell_end[d];
-        let compressed = tables.compressed;
+    for d in (0..tables.n_levels()).rev() {
         let GatherTables {
+            n_i,
+            compressed,
             x,
             y_blue,
             y_red,
@@ -147,15 +282,35 @@ pub(crate) fn run_gather(
             split_off,
             split_len,
             level_nodes,
+            level_ranges,
+            level_cell_end,
             ..
         } = &mut *tables;
+        let (start, end) = level_ranges[d];
+        let level = &level_nodes[start..end];
+        let nodes = match dirty {
+            None => level,
+            Some(_) => {
+                let here = pending.iter().take_while(|&&v| tree.depth(v) == d).count();
+                let (nodes, rest) = pending.split_at(here);
+                pending = rest;
+                nodes
+            }
+        };
+        if nodes.is_empty() {
+            continue;
+        }
+        // One span per level on the *calling* thread (with a pool it covers the
+        // whole fork/join; each stripe additionally records on its worker).
+        let _level = soar_obs::span!("gather_level", d);
+        let boundary = level_cell_end[d];
         // Everything at offsets >= boundary belongs to strictly deeper levels:
         // finalized children, read-only from here on.
         let (x_level, x_children) = x.split_at_mut(boundary);
         let ctx = LevelFill {
             tree,
-            n_i,
-            compressed,
+            n_i: *n_i,
+            compressed: *compressed,
             kernel,
             boundary,
             x_children,
@@ -167,236 +322,26 @@ pub(crate) fn run_gather(
             split_off,
             split_len,
         };
-        for &v in &level_nodes[start..end] {
-            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, 0, scratch);
-        }
-    }
-    grew
-}
-
-/// Refills only the given nodes of already-gathered tables, bottom-up — the
-/// incremental update behind `soar-online`'s epoch solves.
-///
-/// `dirty` must be **ancestor-closed** (if a node's inputs changed, every
-/// ancestor up to the root is also in the set — a parent reads its children's
-/// `X` tables, so a stale ancestor would fold refreshed child values into an
-/// old table) and **sorted deepest-first**, so a node's dirty children are
-/// refilled before the node itself. Nodes *not* in the set keep their values
-/// from the previous pass; since their loads, availability, ρ blocks and child
-/// tables are unchanged, those values are exactly what a from-scratch gather
-/// would recompute — the partial pass is bit-identical to a full one by
-/// construction. The layout (tree shape, budget) must match the pass that
-/// filled the tables; callers go through
-/// [`SolverWorkspace::gather_update`](crate::workspace::SolverWorkspace::gather_update),
-/// which checks that.
-///
-/// Link *rates* may have changed since the filling pass: every dirty node's ρ
-/// prefix block is recomputed here before the refill (the partial rho-arena
-/// reset), which is bit-identical to the stored block when the rates are
-/// unchanged — the same additions in the same order. The rate-change contract
-/// is the caller's: a changed up-link of `w` moves the ρ blocks of exactly
-/// `subtree(w)`, so that whole subtree (plus the usual ancestor closure) must
-/// be in `dirty`.
-///
-/// Returns the number of scratch-buffer growths (0 when `scratch` is warm).
-pub(crate) fn run_gather_partial(
-    tables: &mut GatherTables,
-    tree: &Tree,
-    dirty: &[NodeId],
-    scratch: &mut DpScratch,
-    kernel: DpKernel,
-) -> usize {
-    let mut grew = 0;
-    for &v in dirty {
-        tables.refresh_rho_node(tree, v);
-    }
-    let n_i = tables.n_i;
-    let mut idx = 0;
-    while idx < dirty.len() {
-        let d = tree.depth(dirty[idx]);
-        let mut end = idx + 1;
-        while end < dirty.len() && tree.depth(dirty[end]) == d {
-            end += 1;
-        }
-        debug_assert!(
-            end == dirty.len() || tree.depth(dirty[end]) < d,
-            "dirty nodes must be sorted deepest-first"
-        );
-        let _level = soar_obs::span!("gather_level", d);
-        let boundary = tables.level_cell_end[d];
-        let compressed = tables.compressed;
-        let GatherTables {
-            x,
+        // Lease this level's region of every arena.
+        let mut arena = Lease {
+            x: x_level,
             y_blue,
             y_red,
             splits,
-            rho,
-            n_l,
-            cell_off,
-            y_off,
-            rho_off,
-            split_off,
-            split_len,
-            ..
-        } = &mut *tables;
-        let (x_level, x_children) = x.split_at_mut(boundary);
-        let ctx = LevelFill {
-            tree,
-            n_i,
-            compressed,
-            kernel,
-            boundary,
-            x_children,
-            rho,
-            n_l,
-            cell_off,
-            y_off,
-            rho_off,
-            split_off,
-            split_len,
+            base: ArenaPos::default(),
         };
-        for &v in &dirty[idx..end] {
-            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, 0, scratch);
-        }
-        idx = end;
+        let _shallower = arena.split_front(ctx.start_of(level[0]));
+        let region = arena.split_front(ctx.end_of(level[level.len() - 1]));
+        grew += match pool {
+            None => ctx.fill(nodes, region, &mut scratches[0]),
+            Some(pool) => ctx.fill_on_pool(nodes, region, scratches, pool),
+        };
     }
+    debug_assert!(
+        pending.is_empty(),
+        "dirty nodes must be sorted deepest-first"
+    );
     grew
-}
-
-/// Fills already-laid-out tables bottom-up with each level's nodes processed
-/// concurrently on `pool`.
-///
-/// Every level is carved into at most `pool.threads()` contiguous arena stripes
-/// (nodes are laid out level-major, so a run of nodes is a run of cells); each
-/// stripe is an independent job with its own [`DpScratch`] from `scratches`.
-/// Children are always finalized before their parents *by construction* — they
-/// live one level deeper, and levels are separated by the scope barrier. The
-/// per-node computation is identical to [`run_gather`], so the results are
-/// bit-identical to the sequential pass regardless of thread count.
-///
-/// Returns the number of scratch-buffer growths (0 when warm).
-pub(crate) fn run_gather_parallel(
-    tables: &mut GatherTables,
-    tree: &Tree,
-    scratches: &mut Vec<DpScratch>,
-    pool: &ThreadPool,
-    kernel: DpKernel,
-) -> usize {
-    let max_stripes = pool.threads();
-    while scratches.len() < max_stripes {
-        // DpScratch::new is heap-free; its buffers grow inside fill_node, where
-        // the growth is counted.
-        scratches.push(DpScratch::new());
-    }
-    let grew = AtomicUsize::new(0);
-    let n_i = tables.n_i;
-    for d in (0..tables.level_ranges.len()).rev() {
-        let (start, end) = tables.level_ranges[d];
-        let n_nodes = end - start;
-        if n_nodes == 0 {
-            continue;
-        }
-        // One span per level on the *calling* thread (the span covers the whole
-        // fork/join); each stripe additionally records on its worker's ring.
-        let _level = soar_obs::span!("gather_level", d);
-        let boundary = tables.level_cell_end[d];
-        let level_cell_start = if d == 0 {
-            0
-        } else {
-            tables.level_cell_end[d - 1]
-        };
-        let level_split_start = if d == 0 {
-            0
-        } else {
-            tables.level_split_end[d - 1]
-        };
-        let level_split_end = tables.level_split_end[d];
-        let level_y_start = if d == 0 { 0 } else { tables.level_y_end[d - 1] };
-        let level_y_end = tables.level_y_end[d];
-        let compressed = tables.compressed;
-        let per_stripe = n_nodes.div_ceil(max_stripes);
-        let GatherTables {
-            x,
-            y_blue,
-            y_red,
-            splits,
-            rho,
-            n_l,
-            cell_off,
-            y_off,
-            rho_off,
-            split_off,
-            split_len,
-            level_nodes,
-            ..
-        } = &mut *tables;
-        let (x_level_all, x_children) = x.split_at_mut(boundary);
-        // Mutable leases on this level's region of each arena; stripes are carved
-        // off the front as the spawn loop walks the level. The `Y` region has its
-        // own (compression-aware) extent, bounded by `level_y_end`.
-        let mut x_rest = &mut x_level_all[level_cell_start..];
-        let mut yb_rest = &mut y_blue[level_y_start..level_y_end];
-        let mut yr_rest = &mut y_red[level_y_start..level_y_end];
-        let mut sp_rest = &mut splits[level_split_start..level_split_end];
-        // Shared, read-only state for all stripes.
-        let ctx = &LevelFill {
-            tree,
-            n_i,
-            compressed,
-            kernel,
-            boundary,
-            x_children,
-            rho,
-            n_l,
-            cell_off,
-            y_off,
-            rho_off,
-            split_off,
-            split_len,
-        };
-        let grew = &grew;
-        pool.scope(|s| {
-            for (stripe_nodes, scratch) in level_nodes[start..end]
-                .chunks(per_stripe)
-                .zip(scratches.iter_mut())
-            {
-                let first = stripe_nodes[0];
-                let last = stripe_nodes[stripe_nodes.len() - 1];
-                let cell_base = ctx.cell_off[first];
-                let cell_len = ctx.cell_off[last] + ctx.n_l[last] as usize * n_i - cell_base;
-                let split_base = ctx.split_off[first];
-                let split_total = ctx.split_off[last] + ctx.split_len[last] - split_base;
-                let y_base = ctx.y_off[first];
-                let last_y_cells = if compressed && ctx.split_len[last] == 0 {
-                    0
-                } else {
-                    ctx.n_l[last] as usize * n_i
-                };
-                let y_len = ctx.y_off[last] + last_y_cells - y_base;
-                let (x_s, tail) = std::mem::take(&mut x_rest).split_at_mut(cell_len);
-                x_rest = tail;
-                let (yb_s, tail) = std::mem::take(&mut yb_rest).split_at_mut(y_len);
-                yb_rest = tail;
-                let (yr_s, tail) = std::mem::take(&mut yr_rest).split_at_mut(y_len);
-                yr_rest = tail;
-                let (sp_s, tail) = std::mem::take(&mut sp_rest).split_at_mut(split_total);
-                sp_rest = tail;
-                s.spawn(move || {
-                    let _stripe = soar_obs::span!("gather_stripe", stripe_nodes.len());
-                    let mut local_grew = 0;
-                    for &v in stripe_nodes {
-                        local_grew += ctx.fill_one(
-                            v, x_s, yb_s, yr_s, sp_s, cell_base, y_base, split_base, scratch,
-                        );
-                    }
-                    if local_grew > 0 {
-                        grew.fetch_add(local_grew, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-    }
-    grew.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -562,21 +507,30 @@ mod tests {
     fn partial_regather_of_a_dirty_path_matches_a_fresh_gather() {
         let mut tree = fig5_tree();
         let mut tables = soar_gather(&tree, 3);
-        let mut scratch = DpScratch::new();
+        let mut scratches = Vec::new();
+        let mut update = |tables: &mut GatherTables, tree: &Tree, dirty: &[NodeId]| {
+            run_gather(
+                tables,
+                tree,
+                Some(dirty),
+                &mut scratches,
+                None,
+                DpKernel::default(),
+            );
+        };
         // Change one leaf's load: only its root path (leaf 4 -> 1 -> 0) is dirty.
         tree.set_load(4, 9);
-        let grew = run_gather_partial(&mut tables, &tree, &[4, 1, 0], &mut scratch, DpKernel::Auto);
-        let _ = grew; // scratch growth is covered by the workspace tests
+        update(&mut tables, &tree, &[4, 1, 0]);
         assert_eq!(tables, soar_gather(&tree, 3));
 
         // Availability changes update through the same path.
         tree.set_available(5, false);
-        run_gather_partial(&mut tables, &tree, &[5, 2, 0], &mut scratch, DpKernel::Auto);
+        update(&mut tables, &tree, &[5, 2, 0]);
         assert_eq!(tables, soar_gather(&tree, 3));
 
         // An empty dirty set leaves the tables untouched.
         let before = tables.clone();
-        run_gather_partial(&mut tables, &tree, &[], &mut scratch, DpKernel::Auto);
+        update(&mut tables, &tree, &[]);
         assert_eq!(tables, before);
 
         // A link-rate change: the ρ blocks of the link's whole subtree move,
@@ -586,7 +540,7 @@ mod tests {
         let mut dirty: Vec<_> = tree.subtree(1);
         dirty.push(0);
         dirty.sort_by_key(|&v| (std::cmp::Reverse(tree.depth(v)), v));
-        run_gather_partial(&mut tables, &tree, &dirty, &mut scratch, DpKernel::Auto);
+        update(&mut tables, &tree, &dirty);
         assert_eq!(tables, soar_gather(&tree, 3));
     }
 
@@ -606,7 +560,14 @@ mod tests {
                 let sequential = soar_gather(tree, k);
                 let mut tables = GatherTables::new(tree, k);
                 let mut scratches = Vec::new();
-                run_gather_parallel(&mut tables, tree, &mut scratches, &pool, DpKernel::Auto);
+                run_gather(
+                    &mut tables,
+                    tree,
+                    None,
+                    &mut scratches,
+                    Some(&pool),
+                    DpKernel::default(),
+                );
                 assert_eq!(
                     tables,
                     sequential,

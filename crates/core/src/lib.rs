@@ -95,22 +95,17 @@
 //! per gather (verified by the `alloc_events` stat and the `bench-smoke` CI
 //! job, which fails if a warm pass ever allocates again).
 //!
-//! The `mCost` inner loop itself comes in three exact kernels behind
-//! [`node_dp::DpKernel`] — `Scalar` (the textbook reference), `Pruned`
-//! (monotonicity-based split pruning: DP rows are non-increasing in the item
-//! index, so the effective row width and a tail early-exit bound the scan
-//! without ever changing a value *or* a recorded arg-min split), and `Tiled`
-//! (64-column blocks folded through an `f64x4`-style shim, with whole tiles
-//! skipped by the same monotone bound). All three are **bit-identical** —
-//! values and splits — which the `kernel_identity` property tests pin across
-//! adversarial shapes, budgets straddling the lane and tile widths, and
-//! incremental updates. `Auto` (the default) resolves to `Pruned`, the
-//! measured winner: on the warm `BT(16 383)` point above it takes 32 ms vs
-//! 68 ms scalar and 35 ms tiled. Force a kernel per workspace with
-//! [`workspace::SolverWorkspace::set_kernel`] or globally with
-//! `SOAR_GATHER_KERNEL=scalar|pruned|tiled`; [`api::DpStats::kernel`],
-//! [`api::DpStats::tiles`] and [`api::DpStats::pruned_splits`] report what
-//! actually ran.
+//! The `mCost` inner loop runs one production kernel, `Pruned`
+//! ([`node_dp::DpKernel`]): monotonicity-based split pruning — DP rows are
+//! non-increasing in the item index, so the effective row width and a tail
+//! early-exit bound the scan without ever changing a value *or* a recorded
+//! arg-min split. `Scalar`, the textbook double loop, stays as the reference
+//! oracle: the `kernel_identity` property tests pin the two **bit-identical**
+//! — values and splits — across adversarial shapes, wide budgets, compressed
+//! arenas and incremental updates. On the warm `BT(16 383)` point above the
+//! pruned kernel takes 32 ms vs 68 ms scalar. Tests select the oracle with
+//! [`workspace::SolverWorkspace::set_kernel`]; [`api::DpStats::kernel`] and
+//! [`api::DpStats::pruned_splits`] report what ran.
 //!
 //! At 100k–1M switches the arena itself is the bottleneck, so trees with at
 //! least [`workspace::COMPRESS_MIN_SWITCHES`] switches lay out a **compressed

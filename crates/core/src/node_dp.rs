@@ -10,7 +10,7 @@
 //! This is exactly the information a switch has in the *distributed* rendition of
 //! SOAR-Gather (Sec. 4.2), where children push their `X` tables upwards; the
 //! `soar-dataplane` crate drives this same function from message-passing switch actors,
-//! while [`crate::gather`] drives it from a centralized post-order traversal. Keeping a
+//! while [`crate::gather`] drives it from a centralized level-ordered traversal. Keeping a
 //! single implementation guarantees the two agree.
 //!
 //! ## Hot-path shape
@@ -28,39 +28,26 @@
 //! dataplane's switch actors, which own their tables outright.
 
 use crate::tables::{Color, DpTable, NodeTable, INF};
-use wide::f64x4;
 
 /// Which `mCost` inner-loop implementation a gather pass runs.
 ///
-/// All kernels are **bit-identical**: they produce exactly the same `X`/`Y`
-/// values *and* the same recorded arg-min splits as [`DpKernel::Scalar`]
-/// (property-tested in `tests/kernel_identity.rs`). The fast kernels exploit an
-/// exact invariant of the SOAR tables: every DP row is non-increasing in the
-/// budget index `i` (more blue nodes never cost more), and f64 `+`/`min` are
-/// monotone, so the invariant survives every fold without rounding caveats.
+/// Both kernels are **bit-identical**: they produce exactly the same `X`/`Y`
+/// values *and* the same recorded arg-min splits (property-tested in
+/// `tests/kernel_identity.rs`).
 ///
-/// * [`Scalar`](DpKernel::Scalar) — the straight-line reference double loop
-///   (the PR 1/2 code path), kept verbatim as the ground truth.
-/// * [`Pruned`](DpKernel::Pruned) — scalar iteration order plus two exact
-///   monotonicity prunes of the arg-min split search: the candidate range is
+/// * [`Pruned`](DpKernel::Pruned) — the production kernel. Scalar iteration
+///   order plus two exact monotonicity prunes of the arg-min split search.
+///   Every DP row is non-increasing in the budget index `i` (more blue nodes
+///   never cost more), and f64 `+`/`min` are monotone, so the invariant
+///   survives every fold without rounding caveats. The candidate range is
 ///   capped at the child row's *effective width* (the index where its trailing
 ///   plateau starts — beyond it every candidate is provably no better and loses
 ///   ties to an earlier split), and the scan exits early once the running
 ///   minimum is at or below a lower bound on every remaining candidate. For
 ///   leaf-heavy trees the effective width collapses to ≤ 1 and the quadratic
 ///   split search becomes linear.
-/// * [`Tiled`](DpKernel::Tiled) — the same pruned candidate set, swept in
-///   loop-swapped order: for each split `j` (ascending, in tiles of
-///   [`TILE_COLS`] columns) the whole budget row is updated with the
-///   [`wide::f64x4`] lane type (contiguous loads, compare + blend), and whole
-///   tiles are skipped by an exact monotone bound. Ascending `j` with a strict
-///   `<` update preserves the scalar first-minimum tie-break.
-/// * [`Auto`](DpKernel::Auto) — resolves to the best measured default
-///   ([`Pruned`]; see the crate performance notes). Overridable at runtime via
-///   the `SOAR_GATHER_KERNEL` environment variable
-///   (`scalar | pruned | tiled | auto`).
-///
-/// [`Pruned`]: DpKernel::Pruned
+/// * [`Scalar`](DpKernel::Scalar) — the straight-line reference double loop,
+///   kept verbatim as the oracle the pruned kernel is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(
     feature = "serde",
@@ -68,61 +55,19 @@ use wide::f64x4;
     serde(rename_all = "lowercase")
 )]
 pub enum DpKernel {
-    /// Resolve to the measured best (currently [`DpKernel::Pruned`]).
-    #[default]
-    Auto,
     /// Reference double loop, no pruning.
     Scalar,
     /// Scalar order + exact effective-width cap + early exit.
+    #[default]
     Pruned,
-    /// Loop-swapped f64x4 column sweep + tile skipping (same pruned set).
-    Tiled,
 }
 
-/// Column-tile width of the [`DpKernel::Tiled`] sweep. 64 f64 columns touch at
-/// most 64 · 8 B = 512 B of the child row per tile, so a tile's working set
-/// (child slice + the budget row being updated) stays L1-resident even at
-/// budgets in the hundreds.
-pub const TILE_COLS: usize = 64;
-
 impl DpKernel {
-    /// Parses a kernel name (`scalar | pruned | tiled | auto`), as accepted by
-    /// the `SOAR_GATHER_KERNEL` environment override. Unknown names yield
-    /// `None` so callers can surface the valid set.
-    pub fn from_name(name: &str) -> Option<DpKernel> {
-        match name {
-            "auto" => Some(DpKernel::Auto),
-            "scalar" => Some(DpKernel::Scalar),
-            "pruned" => Some(DpKernel::Pruned),
-            "tiled" => Some(DpKernel::Tiled),
-            _ => None,
-        }
-    }
-
-    /// Reads the `SOAR_GATHER_KERNEL` override, falling back to `Auto` when the
-    /// variable is unset or names an unknown kernel.
-    pub fn from_env() -> DpKernel {
-        std::env::var("SOAR_GATHER_KERNEL")
-            .ok()
-            .and_then(|v| DpKernel::from_name(&v))
-            .unwrap_or(DpKernel::Auto)
-    }
-
-    /// The concrete kernel `Auto` stands for.
-    pub fn resolve(self) -> DpKernel {
-        match self {
-            DpKernel::Auto => DpKernel::Pruned,
-            other => other,
-        }
-    }
-
     /// Stable name, as recorded in [`DpStats`](crate::api::DpStats) artifacts.
     pub fn name(self) -> &'static str {
         match self {
-            DpKernel::Auto => "auto",
             DpKernel::Scalar => "scalar",
             DpKernel::Pruned => "pruned",
-            DpKernel::Tiled => "tiled",
         }
     }
 }
@@ -135,8 +80,8 @@ impl DpKernel {
 /// read (the old INF refill between children was dead work — both buffers are
 /// fully rewritten for every `(ℓ, i)` cell on the next child fold).
 ///
-/// The scratch also accumulates the kernel telemetry
-/// ([`kernel_counters`](DpScratch::kernel_counters)) that
+/// The scratch also counts the split candidates the kernel pruned
+/// ([`pruned_splits`](DpScratch::pruned_splits)), which
 /// [`DpStats`](crate::api::DpStats) reports per pass.
 #[derive(Debug, Default)]
 pub struct DpScratch {
@@ -144,15 +89,8 @@ pub struct DpScratch {
     prev_red: Vec<f64>,
     cur_blue: Vec<f64>,
     cur_red: Vec<f64>,
-    /// Arg-min rows of the loop-swapped sweep, kept as f64 so the update is one
-    /// mask blend per lane (exact for any real split index: `j < 2^53`).
-    arg_blue: Vec<f64>,
-    arg_red: Vec<f64>,
-    /// Column tiles the `Tiled` kernel actually processed (skipped tiles are
-    /// counted under `pruned_splits` instead).
-    tiles: usize,
     /// `(i, j)` split candidates the kernel never evaluated — by effective-width
-    /// capping, early exit, or whole-tile skipping. 0 for `Scalar`.
+    /// capping or early exit. 0 for `Scalar`.
     pruned_splits: usize,
 }
 
@@ -162,10 +100,9 @@ impl DpScratch {
         DpScratch::default()
     }
 
-    /// Makes the ping-pong buffers at least `cells` long and the arg-min rows at
-    /// least `n_i` long. Returns the number of buffers that had to (re)allocate
-    /// — 0 once warm.
-    fn ensure(&mut self, cells: usize, n_i: usize) -> usize {
+    /// Makes the ping-pong buffers at least `cells` long. Returns the number of
+    /// buffers that had to (re)allocate — 0 once warm.
+    fn ensure(&mut self, cells: usize) -> usize {
         let mut grew = 0;
         for buf in [
             &mut self.prev_blue,
@@ -180,26 +117,17 @@ impl DpScratch {
                 buf.resize(cells.max(buf.capacity()), INF);
             }
         }
-        for buf in [&mut self.arg_blue, &mut self.arg_red] {
-            if buf.len() < n_i {
-                if buf.capacity() < n_i {
-                    grew += 1;
-                }
-                buf.resize(n_i.max(buf.capacity()), 0.0);
-            }
-        }
         grew
     }
 
-    /// `(tiles, pruned_splits)` accumulated since the last
-    /// [`reset_kernel_counters`](DpScratch::reset_kernel_counters).
-    pub fn kernel_counters(&self) -> (usize, usize) {
-        (self.tiles, self.pruned_splits)
+    /// Split candidates pruned since the last
+    /// [`reset_pruned_splits`](DpScratch::reset_pruned_splits).
+    pub fn pruned_splits(&self) -> usize {
+        self.pruned_splits
     }
 
-    /// Zeroes the kernel telemetry (called at the start of every gather pass).
-    pub fn reset_kernel_counters(&mut self) {
-        self.tiles = 0;
+    /// Zeroes the pruned-split count (called at the start of every gather pass).
+    pub fn reset_pruned_splits(&mut self) {
         self.pruned_splits = 0;
     }
 
@@ -208,9 +136,7 @@ impl DpScratch {
         (self.prev_blue.capacity()
             + self.prev_red.capacity()
             + self.cur_blue.capacity()
-            + self.cur_red.capacity()
-            + self.arg_blue.capacity()
-            + self.arg_red.capacity())
+            + self.cur_red.capacity())
             * 8
     }
 }
@@ -324,16 +250,12 @@ fn fill_internal<'c>(
     let n_l = path_rho.len();
     let cells = n_l * n_i;
     let load = load as f64;
-    let kernel = kernel.resolve();
-    let grew = scratch.ensure(cells, n_i);
+    let grew = scratch.ensure(cells);
     let DpScratch {
         prev_blue,
         prev_red,
         cur_blue,
         cur_red,
-        arg_blue,
-        arg_red,
-        tiles,
         pruned_splits,
     } = scratch;
 
@@ -381,7 +303,7 @@ fn fill_internal<'c>(
             // effective width is shared by every ℓ row.
             let e_blue = match kernel {
                 DpKernel::Scalar => 0,
-                _ => effective_width(d1_row),
+                DpKernel::Pruned => effective_width(d1_row),
             };
             for l in 0..n_l {
                 let row = l * n_i;
@@ -392,7 +314,7 @@ fn fill_internal<'c>(
                 let cr_row = &mut cur_red[row..row + n_i];
                 let split_row = &mut split_block[row * 2..(row + n_i) * 2];
                 match kernel {
-                    DpKernel::Auto | DpKernel::Scalar => {
+                    DpKernel::Scalar => {
                         mcost_row_scalar(
                             pb_row, pr_row, d1_row, child_row, available, cb_row, cr_row, split_row,
                         );
@@ -410,25 +332,6 @@ fn fill_internal<'c>(
                             cb_row,
                             cr_row,
                             split_row,
-                            pruned_splits,
-                        );
-                    }
-                    DpKernel::Tiled => {
-                        let e_red = effective_width(child_row);
-                        mcost_row_tiled(
-                            pb_row,
-                            pr_row,
-                            d1_row,
-                            child_row,
-                            available,
-                            e_blue,
-                            e_red,
-                            cb_row,
-                            cr_row,
-                            split_row,
-                            arg_blue,
-                            arg_red,
-                            tiles,
                             pruned_splits,
                         );
                     }
@@ -461,7 +364,7 @@ fn fill_internal<'c>(
 }
 
 /// Reference `mCost` row: the full quadratic arg-min scan, first strict minimum
-/// wins. Every other kernel is property-tested bit-identical to this one.
+/// wins. The pruned kernel is property-tested bit-identical to this one.
 #[allow(clippy::too_many_arguments)]
 fn mcost_row_scalar(
     pb_row: &[f64],
@@ -572,136 +475,6 @@ fn mcost_row_pruned(
     *pruned_splits += skipped;
 }
 
-/// One column of the loop-swapped sweep: fold split candidate `j` (cost `c`)
-/// into the running minima of every budget cell `i ∈ [start, n_i)`, four lanes
-/// at a time. The candidate value for cell `i` is `p[i - j] + c` — a contiguous
-/// shifted load of `p` — and the update is a strict-`<` compare + blend, so
-/// ascending `j` reproduces the scalar first-minimum tie-break exactly.
-#[inline]
-fn fold_column(cur: &mut [f64], arg: &mut [f64], p: &[f64], c: f64, j: usize, start: usize) {
-    let n_i = cur.len();
-    let cv = f64x4::splat(c);
-    let jv = f64x4::splat(j as f64);
-    let mut i = start;
-    while i + f64x4::LANES <= n_i {
-        let value = f64x4::from_slice(&p[i - j..]) + cv;
-        let cur_v = f64x4::from_slice(&cur[i..]);
-        let mask = value.cmp_lt(cur_v);
-        mask.blend(value, cur_v).write_to_slice(&mut cur[i..]);
-        let arg_v = f64x4::from_slice(&arg[i..]);
-        mask.blend(jv, arg_v).write_to_slice(&mut arg[i..]);
-        i += f64x4::LANES;
-    }
-    while i < n_i {
-        let value = p[i - j] + c;
-        if value < cur[i] {
-            cur[i] = value;
-            arg[i] = j as f64;
-        }
-        i += 1;
-    }
-}
-
-/// Loop-swapped sweep over one color: columns `j ∈ [0, jmax]` in tiles of
-/// [`TILE_COLS`], rows updated with [`fold_column`]. `off` is 0 for red
-/// (`i ≥ j`) and 1 for blue (`i ≥ j + 1`: the prefix keeps `v` itself).
-///
-/// A whole tile `[t0, t1]` is skipped when its cheapest possible candidate —
-/// `p[n_i - 1 - t0] + c[t1]` by row monotonicity — is at or above the most
-/// improvable current cell `cur[t0 + off]` (rows stay non-increasing throughout
-/// the sweep, and cells below `t0 + off` have no candidates in the tile). A
-/// skipped candidate can then never win a strict-`<` update, so the skip is
-/// exact in both value and recorded split.
-#[allow(clippy::too_many_arguments)]
-fn sweep_color(
-    cur: &mut [f64],
-    arg: &mut [f64],
-    p: &[f64],
-    c: &[f64],
-    e: usize,
-    off: usize,
-    tiles: &mut usize,
-    pruned_splits: &mut usize,
-) {
-    let n_i = cur.len();
-    let jmax = (n_i - 1 - off).min(e);
-    // Candidates skipped by the effective-width cap: columns jmax+1 ..= n_i-1-off,
-    // column j covering cells j+off .. n_i-1.
-    let capped = n_i - 1 - off - jmax;
-    *pruned_splits += capped * (n_i - off - jmax) - capped * (capped + 1) / 2;
-    let mut t0 = 0;
-    while t0 <= jmax {
-        let t1 = (t0 + TILE_COLS - 1).min(jmax);
-        if t0 > 0 && p[n_i - 1 - t0] + c[t1] >= cur[t0 + off] {
-            let w = t1 - t0 + 1;
-            *pruned_splits += w * (n_i - off - t0) - w * (w - 1) / 2;
-            t0 = t1 + 1;
-            continue;
-        }
-        *tiles += 1;
-        for (j, &cj) in c.iter().enumerate().take(t1 + 1).skip(t0) {
-            fold_column(cur, arg, p, cj, j, j + off);
-        }
-        t0 = t1 + 1;
-    }
-}
-
-/// `mCost` row via the loop-swapped f64x4 column sweep. Bit-identical to
-/// [`mcost_row_scalar`] (values and splits): the candidate set is the same
-/// pruned set as [`mcost_row_pruned`], evaluated with identical f64 expressions
-/// in ascending-`j` order with strict-`<` updates.
-#[allow(clippy::too_many_arguments)]
-fn mcost_row_tiled(
-    pb_row: &[f64],
-    pr_row: &[f64],
-    d1_row: &[f64],
-    child_row: &[f64],
-    available: bool,
-    e_blue: usize,
-    e_red: usize,
-    cb_row: &mut [f64],
-    cr_row: &mut [f64],
-    split_row: &mut [u32],
-    arg_blue: &mut [f64],
-    arg_red: &mut [f64],
-    tiles: &mut usize,
-    pruned_splits: &mut usize,
-) {
-    let n_i = cb_row.len();
-    let arg_blue = &mut arg_blue[..n_i];
-    let arg_red = &mut arg_red[..n_i];
-    cr_row.fill(INF);
-    arg_red.fill(0.0);
-    sweep_color(
-        cr_row,
-        arg_red,
-        pr_row,
-        child_row,
-        e_red,
-        0,
-        tiles,
-        pruned_splits,
-    );
-    cb_row.fill(INF);
-    arg_blue.fill(0.0);
-    if available && n_i > 1 {
-        sweep_color(
-            cb_row,
-            arg_blue,
-            pb_row,
-            d1_row,
-            e_blue,
-            1,
-            tiles,
-            pruned_splits,
-        );
-    }
-    for i in 0..n_i {
-        split_row[i * 2] = arg_blue[i] as u32;
-        split_row[i * 2 + 1] = arg_red[i] as u32;
-    }
-}
-
 /// Computes the full DP table of one switch from its children's `X` tables, as an
 /// owned [`NodeTable`].
 ///
@@ -738,7 +511,7 @@ pub fn compute_node_table(
         children_x.len(),
         children_x.iter().map(|v| v.as_slice()),
         &mut scratch,
-        DpKernel::Scalar,
+        DpKernel::default(),
     );
     table
 }

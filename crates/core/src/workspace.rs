@@ -32,7 +32,7 @@
 //! replays it for the rest of the batch.
 
 use crate::color::soar_color_exact_into;
-use crate::gather::{run_gather, run_gather_parallel, run_gather_partial};
+use crate::gather::run_gather;
 use crate::node_dp::{DpKernel, DpScratch};
 use crate::solver::Solution;
 use crate::tables::GatherTables;
@@ -94,18 +94,13 @@ pub struct SolverWorkspace {
     /// Consecutive passes whose live working set was a small fraction of the
     /// reserved capacity — the shrink-on-idle trigger.
     oversized_streak: u32,
-    /// Requested `mCost` kernel (defaults to [`DpKernel::Auto`]); the
-    /// `SOAR_GATHER_KERNEL` environment override, when set, wins.
+    /// The `mCost` kernel every gather runs (defaults to [`DpKernel::Pruned`]).
     kernel: DpKernel,
-    /// The env-combined kernel choice, looked up once per workspace lifetime.
-    resolved_kernel: Option<DpKernel>,
     /// `Some(_)` forces arena compression on or off; `None` auto-enables it at
     /// [`COMPRESS_MIN_SWITCHES`].
     compress_override: Option<bool>,
-    /// Effective (resolved) kernel of the most recent gather.
+    /// Kernel of the most recent gather.
     last_kernel: DpKernel,
-    /// Column tiles executed by the most recent gather (tiled kernel only).
-    last_tiles: usize,
     /// Split candidates skipped by the most recent gather's pruning.
     last_pruned_splits: usize,
 }
@@ -121,21 +116,7 @@ impl SolverWorkspace {
     /// returned tables stay valid (and reusable by [`Self::tables`]) until the
     /// next gather or solve on this workspace.
     pub fn gather(&mut self, tree: &Tree, k: usize) -> &GatherTables {
-        let kernel = self.begin_pass();
-        let compressed = self.compress_for(tree);
-        let mut events;
-        {
-            let _reset = soar_obs::span!("ws_reset", tree.n_switches());
-            events = self.maybe_shrink();
-            events += self.tables.reset(tree, k, compressed);
-        }
-        if self.scratches.is_empty() {
-            self.scratches.push(DpScratch::new());
-        }
-        events += run_gather(&mut self.tables, tree, &mut self.scratches[0], kernel);
-        let cells = self.tables.table_cells();
-        self.finish_pass(events, cells);
-        &self.tables
+        self.full_pass(tree, k, None)
     }
 
     /// Incrementally refreshes this workspace's tables after a *localized*
@@ -146,7 +127,7 @@ impl SolverWorkspace {
     /// with **zero heap allocations**.
     ///
     /// `dirty` must be ancestor-closed and sorted deepest-first (see
-    /// [`run_gather_partial`](crate::gather)); the tree's *shape* and the
+    /// [`crate::gather`]); the tree's *shape* and the
     /// budget must be unchanged since the full gather that filled this
     /// workspace. Loads and availability may differ freely — those are inputs
     /// of the per-node fill, not of the arena layout. Link rates may differ
@@ -196,14 +177,12 @@ impl SolverWorkspace {
         // The span argument is the dirty-closure size — the work measure of an
         // incremental solve, scrapeable straight off a Perfetto trace.
         let _update = soar_obs::span!("gather_update", dirty.len());
-        if self.scratches.is_empty() {
-            self.scratches.push(DpScratch::new());
-        }
-        let events = run_gather_partial(
+        let events = run_gather(
             &mut self.tables,
             tree,
-            dirty,
-            &mut self.scratches[0],
+            Some(dirty),
+            &mut self.scratches,
+            None,
             kernel,
         );
         let cells = dirty.iter().map(|&v| self.tables.node_cells(v)).sum();
@@ -212,9 +191,14 @@ impl SolverWorkspace {
     }
 
     /// Runs SOAR-Gather with each tree level processed concurrently on `pool`
-    /// (bit-identical results to [`Self::gather`]; see
-    /// [`run_gather_parallel`](crate::gather)).
+    /// (bit-identical results to [`Self::gather`]; see [`crate::gather`]).
     pub fn gather_parallel(&mut self, tree: &Tree, k: usize, pool: &ThreadPool) -> &GatherTables {
+        self.full_pass(tree, k, Some(pool))
+    }
+
+    /// Lays out the arena for `tree` and `k` and fills every node, inline or
+    /// on `pool`.
+    fn full_pass(&mut self, tree: &Tree, k: usize, pool: Option<&ThreadPool>) -> &GatherTables {
         let kernel = self.begin_pass();
         let compressed = self.compress_for(tree);
         let mut events;
@@ -223,7 +207,14 @@ impl SolverWorkspace {
             events = self.maybe_shrink();
             events += self.tables.reset(tree, k, compressed);
         }
-        events += run_gather_parallel(&mut self.tables, tree, &mut self.scratches, pool, kernel);
+        events += run_gather(
+            &mut self.tables,
+            tree,
+            None,
+            &mut self.scratches,
+            pool,
+            kernel,
+        );
         let cells = self.tables.table_cells();
         self.finish_pass(events, cells);
         &self.tables
@@ -329,12 +320,11 @@ impl SolverWorkspace {
         self.peak_bytes
     }
 
-    /// Requests an `mCost` kernel for every subsequent gather on this
-    /// workspace. The `SOAR_GATHER_KERNEL` environment variable, when set to a
-    /// valid kernel name, still wins — it is the fleet-wide debugging override.
+    /// Selects the `mCost` kernel for every subsequent gather on this
+    /// workspace. The default, [`DpKernel::Pruned`], is the production kernel;
+    /// [`DpKernel::Scalar`] is the reference oracle the tests compare against.
     pub fn set_kernel(&mut self, kernel: DpKernel) {
         self.kernel = kernel;
-        self.resolved_kernel = None;
     }
 
     /// Forces arena compression on (`Some(true)`), off (`Some(false)`), or
@@ -344,20 +334,9 @@ impl SolverWorkspace {
         self.compress_override = compress;
     }
 
-    /// Name of the effective kernel the most recent gather ran
-    /// (`"scalar" | "pruned" | "tiled"`; `"auto"` before the first gather).
-    pub fn last_kernel_name(&self) -> &'static str {
-        self.last_kernel.name()
-    }
-
-    /// The effective (resolved) kernel of the most recent gather.
+    /// The kernel the most recent gather ran.
     pub fn last_kernel(&self) -> DpKernel {
         self.last_kernel
-    }
-
-    /// Column tiles the most recent gather executed (0 for non-tiled kernels).
-    pub fn last_tiles(&self) -> usize {
-        self.last_tiles
     }
 
     /// Split candidates the most recent gather's pruning skipped relative to
@@ -366,25 +345,13 @@ impl SolverWorkspace {
         self.last_pruned_splits
     }
 
-    /// Resolves the kernel for a pass (env override > [`Self::set_kernel`],
-    /// cached) and clears the per-pass kernel counters.
+    /// Records the kernel of a new pass and clears the per-pass counters.
     fn begin_pass(&mut self) -> DpKernel {
-        let kernel = match self.resolved_kernel {
-            Some(k) => k,
-            None => {
-                let k = std::env::var("SOAR_GATHER_KERNEL")
-                    .ok()
-                    .and_then(|v| DpKernel::from_name(&v))
-                    .unwrap_or(self.kernel);
-                self.resolved_kernel = Some(k);
-                k
-            }
-        };
-        self.last_kernel = kernel.resolve();
+        self.last_kernel = self.kernel;
         for scratch in &mut self.scratches {
-            scratch.reset_kernel_counters();
+            scratch.reset_pruned_splits();
         }
-        kernel
+        self.kernel
     }
 
     /// Whether a gather over `tree` lays out a compressed arena.
@@ -415,20 +382,12 @@ impl SolverWorkspace {
         self.last_alloc_events = events;
         self.total_alloc_events += events;
         self.last_cells_written = cells_written;
-        let (tiles, pruned) = self
-            .scratches
-            .iter()
-            .fold((0, 0), |(tiles, pruned), scratch| {
-                let (t, p) = scratch.kernel_counters();
-                (tiles + t, pruned + p)
-            });
-        self.last_tiles = tiles;
+        let pruned = self.scratches.iter().map(DpScratch::pruned_splits).sum();
         self.last_pruned_splits = pruned;
         // Process-wide DP counters: the same quantities DpStats reports
         // per-solve, accumulated for the /metrics exposition.
         soar_obs::counter!("soar_gather_passes_total").inc();
         soar_obs::counter!("soar_gather_cells_written_total").add(cells_written as u64);
-        soar_obs::counter!("soar_gather_tiles_total").add(tiles as u64);
         soar_obs::counter!("soar_gather_pruned_splits_total").add(pruned as u64);
         soar_obs::counter!("soar_gather_alloc_events_total").add(events as u64);
         let scratch_bytes = self
@@ -729,12 +688,7 @@ mod tests {
     fn kernel_selection_is_bit_identical_across_kernels() {
         let tree = fig2_tree();
         let reference = soar_gather(&tree, 4);
-        for kernel in [
-            DpKernel::Scalar,
-            DpKernel::Pruned,
-            DpKernel::Tiled,
-            DpKernel::Auto,
-        ] {
+        for kernel in [DpKernel::Scalar, DpKernel::Pruned] {
             let mut ws = SolverWorkspace::new();
             ws.set_kernel(kernel);
             assert_eq!(
@@ -743,7 +697,7 @@ mod tests {
                 "kernel {} diverged",
                 kernel.name()
             );
-            assert_eq!(ws.last_kernel_name(), kernel.resolve().name());
+            assert_eq!(ws.last_kernel(), kernel);
         }
     }
 

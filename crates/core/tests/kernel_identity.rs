@@ -1,15 +1,15 @@
-//! Property tests: every `mCost` kernel is **bit-identical** to the scalar
-//! reference, and the compressed arena solves identically to the full one.
+//! Property tests: the pruned `mCost` kernel is **bit-identical** to the
+//! scalar reference, and the compressed arena solves identically to the full
+//! one.
 //!
-//! The pruned and tiled kernels claim *exactness*, not approximation: the
-//! effective-width cap, the tail early-exit and the tile-skip bound only ever
-//! discard candidates that provably cannot win (values are non-increasing in
-//! the split index, and ties resolve to the smallest index, which is visited
-//! first). These tests pin that claim across adversarial shapes — budgets that
-//! straddle the f64x4 lane width and the 64-column tile width, degenerate
-//! paths and stars, random trees with random loads / rates / availability —
-//! by comparing whole [`GatherTables`] for equality, which covers every `X`
-//! row, every `Y` row, and every recorded arg-min split.
+//! The pruned kernel claims *exactness*, not approximation: the
+//! effective-width cap and the tail early-exit only ever discard candidates
+//! that provably cannot win (values are non-increasing in the split index, and
+//! ties resolve to the smallest index, which is visited first). These tests
+//! pin that claim across adversarial shapes — small and wide budgets,
+//! degenerate paths and stars, random trees with random loads / rates /
+//! availability — by comparing whole [`GatherTables`] for equality, which
+//! covers every `X` row, every `Y` row, and every recorded arg-min split.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,10 +41,8 @@ fn gather_with(tree: &Tree, k: usize, kernel: DpKernel, compressed: bool) -> Gat
     ws.into_tables()
 }
 
-/// The shapes under test. Budgets are chosen to straddle the SIMD lane width
-/// (4 columns) and the tile width (64 columns): `n_i = k + 1` values of 4, 5,
-/// 63, 64, 65 exercise empty remainders, 1-lane remainders, and multi-tile
-/// rows with a partial trailing tile.
+/// The shapes under test. The tests run budgets from 0 up to `n_i = k + 1 = 66`
+/// columns on each.
 fn shapes(rng: &mut StdRng) -> Vec<(String, Tree)> {
     let mut shapes: Vec<(String, Tree)> = vec![
         ("path-17".into(), builders::path(17)),
@@ -64,20 +62,16 @@ fn shapes(rng: &mut StdRng) -> Vec<(String, Tree)> {
 }
 
 #[test]
-fn pruned_and_tiled_kernels_are_bit_identical_to_scalar() {
+fn pruned_kernel_is_bit_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(0x50AB);
     for (name, tree) in shapes(&mut rng) {
         for k in [0usize, 3, 4, 16, 63, 64] {
             let reference = gather_with(&tree, k, DpKernel::Scalar, false);
-            for kernel in [DpKernel::Pruned, DpKernel::Tiled, DpKernel::Auto] {
-                let candidate = gather_with(&tree, k, kernel, false);
-                assert_eq!(
-                    candidate,
-                    reference,
-                    "kernel {} diverged from scalar on {name} at k = {k}",
-                    kernel.name()
-                );
-            }
+            let candidate = gather_with(&tree, k, DpKernel::Pruned, false);
+            assert_eq!(
+                candidate, reference,
+                "pruned kernel diverged from scalar on {name} at k = {k}"
+            );
         }
     }
 }
@@ -133,15 +127,19 @@ fn compressed_arena_solves_and_y_values_match_the_full_arena() {
 #[test]
 fn incremental_updates_preserve_kernel_identity() {
     // Partial regathers run the same kernel as full passes; a dirty-path
-    // refill must stay bit-identical to a from-scratch gather under every
-    // kernel (this is what keeps soar-online exact when a kernel is forced).
+    // refill must stay bit-identical to a from-scratch gather under both
+    // kernels and both arena layouts (this is what keeps soar-online exact
+    // when a kernel is forced or the arena is compressed).
     let mut rng = StdRng::seed_from_u64(0xD1FF);
     let mut tree = builders::complete_kary_tree(3, 121);
     randomize(&mut tree, &mut rng);
-    for kernel in [DpKernel::Scalar, DpKernel::Pruned, DpKernel::Tiled] {
+    let cases = [DpKernel::Scalar, DpKernel::Pruned]
+        .into_iter()
+        .flat_map(|kernel| [false, true].map(|compressed| (kernel, compressed)));
+    for (kernel, compressed) in cases {
         let mut ws = SolverWorkspace::new();
         ws.set_kernel(kernel);
-        ws.set_compression(Some(false));
+        ws.set_compression(Some(compressed));
         let _ = ws.gather(&tree, 6);
         // Touch one leaf; its root path is the ancestor-closed dirty set.
         let leaf = tree.leaves().last().unwrap();
@@ -153,11 +151,11 @@ fn incremental_updates_preserve_kernel_identity() {
             v = p;
         }
         let updated = ws.gather_update(&tree, 6, &dirty);
-        let fresh = gather_with(&tree, 6, kernel, false);
+        let fresh = gather_with(&tree, 6, kernel, compressed);
         assert_eq!(
             *updated,
             fresh,
-            "partial regather diverged under kernel {}",
+            "partial regather diverged under kernel {} (compressed: {compressed})",
             kernel.name()
         );
         tree.set_load(leaf, 0); // reset so every kernel sees the same sequence

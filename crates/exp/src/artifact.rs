@@ -82,11 +82,11 @@ pub fn canonical_dp(mut dp: DpStats) -> DpStats {
     dp.arena_peak_bytes = 0;
     dp.alloc_events = 0;
     dp.cells_written = 0;
-    // The kernel is runtime-selectable (`SOAR_GATHER_KERNEL`), and the tile /
-    // pruning counters follow it — normalize all three so an operator's kernel
-    // override can never dirty a golden artifact.
-    dp.kernel = soar_core::DpKernel::Auto;
-    dp.tiles = 0;
+    // The kernel is selectable per workspace and the pruning counter follows
+    // it — normalize both so a forced kernel can never dirty a golden
+    // artifact. The default kernel is also what goldens without a `kernel`
+    // key parse to, so those still compare equal.
+    dp.kernel = soar_core::DpKernel::default();
     dp.pruned_splits = 0;
     dp
 }

@@ -400,7 +400,7 @@ fn obs_bench() -> ExperimentSpec {
 
 fn gather_scale(scale: Scale) -> ExperimentSpec {
     // Shallow 16-ary trees: the datacenter-fabric shape, and the regime where
-    // arena compression and the pruned/tiled kernels earn their keep. Quick
+    // arena compression and the pruned kernel earn their keep. Quick
     // (the `scale-smoke` CI gate) runs 100k switches; paper runs the full
     // 100k → 1M sweep.
     let sizes = match scale {

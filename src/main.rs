@@ -64,6 +64,14 @@ impl CliError {
 
 type CliResult = Result<(), CliError>;
 
+/// `println!` through [`emit`]: formats one line and writes it to stdout,
+/// tolerating a closed reader. Evaluates to a [`CliResult`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const TOP_USAGE: &str =
     "usage: soar <solve|sweep|compare|instance|experiment|online|fabric|serve|loadtest|trace|history> [options]
        soar --help
@@ -116,7 +124,7 @@ fn dispatch(args: &[String]) -> CliResult {
         Some("trace") => cmd_trace(&args[1..]),
         Some("history") => cmd_history(&args[1..]),
         Some("--help") | Some("-h") => {
-            println!("{TOP_USAGE}");
+            outln!("{TOP_USAGE}")?;
             Ok(())
         }
         Some(other) => Err(CliError::usage(format!("unknown subcommand `{other}`"))),
@@ -265,7 +273,7 @@ fn cmd_solve(args: &[String]) -> CliResult {
             "--solver" | "-s" => solver_name = options.value_for("--solver")?,
             "--out" | "-o" => out = Some(options.value_for("--out")?),
             "--help" | "-h" => {
-                println!("usage: soar solve --in <instance.json> [--solver <name>] [--out <report.json>]");
+                outln!("usage: soar solve --in <instance.json> [--solver <name>] [--out <report.json>]")?;
                 return Ok(());
             }
             other => {
@@ -302,9 +310,9 @@ fn cmd_sweep(args: &[String]) -> CliResult {
             }
             "--out" | "-o" => out = Some(options.value_for("--out")?),
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: soar sweep --in <instance.json> --budgets <k1,k2,...> [--out <artifact.json>]"
-                );
+                )?;
                 return Ok(());
             }
             other => {
@@ -359,9 +367,9 @@ fn cmd_compare(args: &[String]) -> CliResult {
             "--solvers" | "-s" => names = parse_list(options.value_for("--solvers")?, "solver")?,
             "--out" | "-o" => out = Some(options.value_for("--out")?),
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: soar compare --in <instance.json> [--solvers <a,b,...>] [--out <artifact.json>]"
-                );
+                )?;
                 return Ok(());
             }
             other => {
@@ -486,7 +494,7 @@ fn cmd_instance(args: &[String]) -> CliResult {
             "--label" => label = Some(options.value_for("--label")?),
             "--out" | "-o" => out = Some(options.value_for("--out")?),
             "--help" | "-h" => {
-                println!("{INSTANCE_USAGE}");
+                outln!("{INSTANCE_USAGE}")?;
                 return Ok(());
             }
             other => {
@@ -614,7 +622,7 @@ fn cmd_instance(args: &[String]) -> CliResult {
                 instance.budget()
             );
         }
-        None => print!("{json}"),
+        None => emit(&json)?,
     }
     Ok(())
 }
@@ -639,7 +647,7 @@ fn cmd_experiment(args: &[String]) -> CliResult {
         Some("run") => cmd_experiment_run(&args[1..]),
         Some("check") => cmd_experiment_check(&args[1..]),
         Some("--help") | Some("-h") => {
-            println!("{EXPERIMENT_USAGE}");
+            outln!("{EXPERIMENT_USAGE}")?;
             Ok(())
         }
         Some(other) => Err(CliError::usage(format!(
@@ -666,9 +674,9 @@ fn cmd_experiment_list(args: &[String]) -> CliResult {
             return Err(CliError::usage(format!("list: unknown argument `{arg}`")));
         }
     }
-    println!("{:<14} {:>4}  description", "name", "reps");
+    outln!("{:<14} {:>4}  description", "name", "reps")?;
     for spec in registry::all(scale) {
-        println!("{:<14} {:>4}  {}", spec.name, spec.repetitions, spec.title);
+        outln!("{:<14} {:>4}  {}", spec.name, spec.repetitions, spec.title)?;
     }
     Ok(())
 }
@@ -696,7 +704,7 @@ fn cmd_experiment_run(args: &[String]) -> CliResult {
             "--out-dir" | "-o" => out_dir = options.value_for("--out-dir")?,
             "--csv" => csv = true,
             "--help" | "-h" => {
-                println!("{EXPERIMENT_USAGE}");
+                outln!("{EXPERIMENT_USAGE}")?;
                 return Ok(());
             }
             flag if flag.starts_with('-') => {
@@ -743,17 +751,10 @@ fn cmd_experiment_run(args: &[String]) -> CliResult {
             if paper { "paper" } else { "quick" }
         );
         let artifact = spec.run();
-        for chart in &artifact.charts {
-            if csv {
-                println!("# {}", chart.title);
-                print!("{}", chart.to_csv());
-            } else {
-                println!("{}", chart.to_table());
-            }
-        }
+        print_charts(&artifact, csv)?;
         let path = format!("{}/{}.json", out_dir.trim_end_matches('/'), spec.name);
         write_file(&path, &artifact.to_json())?;
-        println!("wrote {path}");
+        outln!("wrote {path}")?;
     }
     Ok(())
 }
@@ -816,7 +817,7 @@ fn cmd_experiment_check(args: &[String]) -> CliResult {
                 )
             }
             "--help" | "-h" => {
-                println!("{EXPERIMENT_USAGE}");
+                outln!("{EXPERIMENT_USAGE}")?;
                 return Ok(());
             }
             flag if flag.starts_with('-') => {
@@ -837,10 +838,11 @@ fn cmd_experiment_check(args: &[String]) -> CliResult {
     let golden = read_artifact(golden_path)?;
     let report = diff(&golden, &new, &tol);
     if report.is_match() {
-        println!(
+        outln!(
             "OK: {artifact_path} matches {golden_path} (rel {}, abs {})",
-            tol.rel, tol.abs
-        );
+            tol.rel,
+            tol.abs
+        )?;
         Ok(())
     } else {
         Err(CliError::failure(format!(
@@ -885,7 +887,7 @@ fn cmd_online(args: &[String]) -> CliResult {
         Some("run") => cmd_online_run(&args[1..]),
         Some("replay") => cmd_online_replay(&args[1..]),
         Some("--help") | Some("-h") => {
-            println!("{ONLINE_USAGE}");
+            outln!("{ONLINE_USAGE}")?;
             Ok(())
         }
         Some(other) => Err(CliError::usage(format!(
@@ -966,7 +968,7 @@ fn cmd_online_run(args: &[String]) -> CliResult {
             "--csv" => csv = true,
             "--out" | "-o" => out = Some(options.value_for("--out")?),
             "--help" | "-h" => {
-                println!("{ONLINE_USAGE}");
+                outln!("{ONLINE_USAGE}")?;
                 return Ok(());
             }
             other => {
@@ -1011,23 +1013,24 @@ fn cmd_online_run(args: &[String]) -> CliResult {
     spec.validate()
         .map_err(|e| CliError::invalid(format!("online run configuration: {e}")))?;
     let artifact = spec.run();
-    print_charts(&artifact, csv);
+    print_charts(&artifact, csv)?;
     if let Some(path) = out {
         write_file(path, &artifact.to_json())?;
-        println!("wrote {path}");
+        outln!("wrote {path}")?;
     }
     Ok(())
 }
 
-fn print_charts(artifact: &RunArtifact, csv: bool) {
+fn print_charts(artifact: &RunArtifact, csv: bool) -> CliResult {
     for chart in &artifact.charts {
         if csv {
-            println!("# {}", chart.title);
-            print!("{}", chart.to_csv());
+            outln!("# {}", chart.title)?;
+            emit(&chart.to_csv())?;
         } else {
-            println!("{}", chart.to_table());
+            outln!("{}", chart.to_table())?;
         }
     }
+    Ok(())
 }
 
 fn cmd_online_replay(args: &[String]) -> CliResult {
@@ -1038,7 +1041,7 @@ fn cmd_online_replay(args: &[String]) -> CliResult {
         match arg {
             "--csv" => csv = true,
             "--help" | "-h" => {
-                println!("{ONLINE_USAGE}");
+                outln!("{ONLINE_USAGE}")?;
                 return Ok(());
             }
             flag if flag.starts_with('-') => {
@@ -1071,10 +1074,10 @@ fn cmd_online_replay(args: &[String]) -> CliResult {
         stored.spec.name, stored.spec.repetitions
     );
     let fresh = stored.spec.run();
-    print_charts(&fresh, csv);
+    print_charts(&fresh, csv)?;
     let report = diff(&stored, &fresh, &Tolerances::default());
     if report.is_match() {
-        println!("OK: replay of {path} reproduced the stored trajectory");
+        outln!("OK: replay of {path} reproduced the stored trajectory")?;
         Ok(())
     } else {
         Err(CliError::failure(format!(
@@ -1126,7 +1129,7 @@ fn cmd_fabric(args: &[String]) -> CliResult {
         Some("solve") => cmd_fabric_run(&args[1..], false),
         Some("sweep") => cmd_fabric_run(&args[1..], true),
         Some("--help") | Some("-h") => {
-            println!("{FABRIC_USAGE}");
+            outln!("{FABRIC_USAGE}")?;
             Ok(())
         }
         Some(other) => Err(CliError::usage(format!(
@@ -1197,7 +1200,7 @@ fn cmd_fabric_run(args: &[String], sweep: bool) -> CliResult {
             "--csv" => csv = true,
             "--out" | "-o" => out = Some(options.value_for(flag)?),
             "--help" | "-h" => {
-                println!("{FABRIC_USAGE}");
+                outln!("{FABRIC_USAGE}")?;
                 return Ok(());
             }
             other => {
@@ -1312,10 +1315,10 @@ fn cmd_fabric_run(args: &[String], sweep: bool) -> CliResult {
     spec.validate()
         .map_err(|e| CliError::invalid(format!("{command} configuration: {e}")))?;
     let artifact = spec.run();
-    print_charts(&artifact, csv);
+    print_charts(&artifact, csv)?;
     if let Some(path) = out {
         write_file(path, &artifact.to_json())?;
-        println!("wrote {path}");
+        outln!("wrote {path}")?;
     }
     Ok(())
 }
@@ -1381,7 +1384,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
             }
             "--obs-addr" => config.obs_addr = Some(options.value_for(flag)?.to_owned()),
             "--help" | "-h" => {
-                println!("{SERVE_USAGE}");
+                outln!("{SERVE_USAGE}")?;
                 return Ok(());
             }
             other => return Err(CliError::usage(format!("unknown serve flag `{other}`"))),
@@ -1394,24 +1397,24 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     let handle = soar::serve::start(config.clone())
         .map_err(|e| CliError::failure(format!("binding {}: {e}", config.addr)))?;
-    println!("soar serve listening on {}", handle.addr());
+    outln!("soar serve listening on {}", handle.addr())?;
     if let Some(obs) = handle.obs_addr() {
-        println!("metrics exposition on http://{obs}/metrics");
+        outln!("metrics exposition on http://{obs}/metrics")?;
     }
     let snapshot = handle.join();
-    println!(
+    outln!(
         "served {} requests ({} events applied, {} solves, {} sheds, {} errors)",
         snapshot.requests,
         snapshot.events_applied,
         snapshot.solves,
         snapshot.sheds(),
         snapshot.errors
-    );
+    )?;
     if let Some(path) = metrics_out {
         let json = serde_json::to_string_pretty(&snapshot)
             .map_err(|e| CliError::failure(format!("encoding metrics: {e}")))?;
         write_file(path, &json)?;
-        println!("metrics snapshot written to {path}");
+        outln!("metrics snapshot written to {path}")?;
     }
     Ok(())
 }
@@ -1518,7 +1521,7 @@ fn cmd_loadtest(args: &[String]) -> CliResult {
             "--assert-sheds" => assert_sheds = true,
             "--assert-no-loss" => assert_no_loss = true,
             "--help" | "-h" => {
-                println!("{LOADTEST_USAGE}");
+                outln!("{LOADTEST_USAGE}")?;
                 return Ok(());
             }
             other => return Err(CliError::usage(format!("unknown loadtest flag `{other}`"))),
@@ -1529,7 +1532,7 @@ fn cmd_loadtest(args: &[String]) -> CliResult {
     }
     let report = soar::loadtest::run(&config)
         .map_err(|e| CliError::failure(format!("loadtest against {}: {e}", config.addr)))?;
-    print!("{}", report.render());
+    emit(&report.render())?;
     if let Some(path) = out {
         let artifact = if config.chaos.is_some() {
             soar::loadtest::chaos_artifact(&config, &report)
@@ -1537,7 +1540,7 @@ fn cmd_loadtest(args: &[String]) -> CliResult {
             soar::loadtest::artifact(&config, &report)
         };
         write_file(path, &artifact.to_json())?;
-        println!("artifact written to {path}");
+        outln!("artifact written to {path}")?;
     }
     if assert_no_loss {
         let Some(r) = &report.resilience else {
@@ -1614,7 +1617,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
                 assert_coverage = Some(pct / 100.0);
             }
             "--help" | "-h" => {
-                println!("{TRACE_USAGE}");
+                outln!("{TRACE_USAGE}")?;
                 return Ok(());
             }
             other => return Err(CliError::usage(format!("unknown trace flag `{other}`"))),
@@ -1650,15 +1653,15 @@ fn cmd_trace(args: &[String]) -> CliResult {
         .filter(|s| s.name == "solve")
         .max_by_key(|s| s.dur_ns)
         .ok_or_else(|| CliError::failure("no root `solve` span was recorded"))?;
-    println!(
+    outln!(
         "solved BT family, {} switches, k = {k}: cost {cost:.3} with {blue} blue switches",
         tree.n_switches()
-    );
-    println!(
+    )?;
+    outln!(
         "trace written to {out_path} ({} spans across {} threads)",
         spans.len(),
         threads.iter().filter(|t| !t.events.is_empty()).count()
-    );
+    )?;
 
     // Phase breakdown: the root's direct children on its own thread, grouped
     // by name in first-seen order. Worker-thread stripe spans overlap these
@@ -1680,22 +1683,22 @@ fn cmd_trace(args: &[String]) -> CliResult {
             None => phases.push((span.name, span.dur_ns, 1)),
         }
     }
-    println!(
+    outln!(
         "phase breakdown of the {:.3} ms solve:",
         root.dur_ns as f64 / 1e6
-    );
+    )?;
     for (name, dur_ns, count) in &phases {
-        println!(
+        outln!(
             "  {name:<16} {:>10.3} ms  ({count:>3} spans, {:>5.1}% of the solve)",
             *dur_ns as f64 / 1e6,
             100.0 * *dur_ns as f64 / root.dur_ns.max(1) as f64,
-        );
+        )?;
     }
     let coverage = covered as f64 / root.dur_ns.max(1) as f64;
-    println!(
+    outln!(
         "span coverage of the solve wall time: {:.1}%",
         coverage * 100.0
-    );
+    )?;
     if let Some(min) = assert_coverage {
         if coverage < min {
             return Err(CliError::failure(format!(
@@ -1740,7 +1743,7 @@ fn cmd_history(args: &[String]) -> CliResult {
         Some("report") => cmd_history_report(&args[1..]),
         Some("check") => cmd_history_check(&args[1..]),
         Some("--help") | Some("-h") => {
-            println!("{HISTORY_USAGE}");
+            outln!("{HISTORY_USAGE}")?;
             Ok(())
         }
         Some(other) => Err(CliError::usage(format!(
@@ -1791,7 +1794,7 @@ fn cmd_history_report(args: &[String]) -> CliResult {
             "--dir" | "-d" => dir = Some(options.value_for("--dir")?),
             "--spec" | "-s" => spec_filter = Some(options.value_for("--spec")?),
             "--help" | "-h" => {
-                println!("{HISTORY_USAGE}");
+                outln!("{HISTORY_USAGE}")?;
                 return Ok(());
             }
             flag if flag.starts_with('-') => {
@@ -1826,7 +1829,7 @@ fn cmd_history_report(args: &[String]) -> CliResult {
             }
             let trajectory = Trajectory::build(&entries)
                 .map_err(|e| CliError::failure(format!("artifacts do not align: {e}")))?;
-            print!("{}", trajectory.to_table());
+            emit(&trajectory.to_table())?;
             Ok(())
         }
     }
@@ -1895,7 +1898,7 @@ fn cmd_history_report_dir(dir: &str, spec_filter: Option<&str>) -> CliResult {
     for (spec, entries) in &groups {
         match Trajectory::build(entries) {
             Ok(trajectory) => {
-                print!("{}", trajectory.to_table());
+                emit(&trajectory.to_table())?;
                 rendered += 1;
             }
             Err(e) => eprintln!("note: skipping `{spec}`: artifacts do not align: {e}"),
@@ -1925,7 +1928,7 @@ fn cmd_history_check(args: &[String]) -> CliResult {
                 policy.exact_abs = parse_fraction(options.value_for("--exact-abs")?, "--exact-abs")?
             }
             "--help" | "-h" => {
-                println!("{HISTORY_USAGE}");
+                outln!("{HISTORY_USAGE}")?;
                 return Ok(());
             }
             flag if flag.starts_with('-') => {
@@ -1947,7 +1950,7 @@ fn cmd_history_check(args: &[String]) -> CliResult {
     let report = history::check(&baseline, &new, &policy)
         .map_err(|e| CliError::failure(format!("artifacts do not align: {e}")))?;
     if report.passed() {
-        println!("OK: {new_path} vs {baseline_path}: {report}");
+        outln!("OK: {new_path} vs {baseline_path}: {report}")?;
         Ok(())
     } else {
         Err(CliError::failure(format!(

@@ -158,21 +158,29 @@ fn a_closed_stdout_does_not_stop_solve() {
     write_instance(&tmp.path("instance.json"), 2);
     let instance = tmp.path_str("instance.json");
     let report = tmp.path_str("report.json");
-    // Hand the child a pipe whose read end is already closed, so its first
-    // print fails with a broken pipe.
-    let (reader, writer) = std::io::pipe().expect("creating a pipe");
-    drop(reader);
-    let output = soar_bin()
-        .args(["solve", "--in", &instance, "--out", &report])
-        .stdout(writer)
-        .output()
-        .expect("spawning soar");
-    let err = stderr(&output);
-    assert_eq!(output.status.code(), Some(0), "{err}");
-    assert!(
-        !err.contains("panicked") && !err.contains("Broken pipe"),
-        "{err}"
-    );
+    for args in [
+        &["solve", "--in", &instance, "--out", &report][..],
+        &["experiment", "list"][..],
+        &["history", "--help"][..],
+        &["online", "--help"][..],
+        &["fabric", "--help"][..],
+    ] {
+        // Hand the child a pipe whose read end is already closed, so its first
+        // print fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("creating a pipe");
+        drop(reader);
+        let output = soar_bin()
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawning soar");
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(0), "args {args:?}: {err}");
+        assert!(
+            !err.contains("panicked") && !err.contains("Broken pipe"),
+            "args {args:?}: {err}"
+        );
+    }
     let report: SolveReport =
         serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(report.solution.cost, 20.0);

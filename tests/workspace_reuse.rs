@@ -129,30 +129,40 @@ fn soar_solver_reports_allocation_free_steady_state() {
     );
 }
 
-/// Pool-parallel gather must equal the sequential post-order result bit for bit,
-/// across random shapes, budgets and pool sizes.
+/// Pool-parallel gather must equal the sequential result bit for bit, across
+/// random shapes, budgets, pool sizes and both arena layouts (full and
+/// compressed).
 #[test]
 fn parallel_gather_matches_sequential_on_random_instances() {
     let pools = [ThreadPool::new(2), ThreadPool::new(5)];
     let mut rng = StdRng::seed_from_u64(1234);
     let mut ws = SolverWorkspace::new();
+    let mut sequential_ws = SolverWorkspace::new();
     for case in 0..32 {
         let tree = random_tree(&mut rng, 48);
         let k = rng.random_range(0usize..=6);
-        let sequential = soar_gather(&tree, k);
-        for pool in &pools {
-            let parallel = ws.gather_parallel(&tree, k, pool);
-            assert_eq!(
-                *parallel,
-                sequential,
-                "case {case}: parallel gather diverged (n = {}, k = {k}, workers = {})",
-                tree.n_switches(),
-                pool.threads()
-            );
+        for compressed in [false, true] {
+            ws.set_compression(Some(compressed));
+            sequential_ws.set_compression(Some(compressed));
+            let sequential = sequential_ws.gather(&tree, k);
+            if !compressed {
+                assert_eq!(*sequential, soar_gather(&tree, k));
+            }
+            for pool in &pools {
+                let parallel = ws.gather_parallel(&tree, k, pool);
+                assert_eq!(
+                    parallel,
+                    sequential,
+                    "case {case}: parallel gather diverged (n = {}, k = {k}, workers = {}, \
+                     compressed: {compressed})",
+                    tree.n_switches(),
+                    pool.threads()
+                );
+            }
+            // And the coloring drawn from the parallel tables is the optimum.
+            let (coloring, cost_value) = soar_color(&tree, ws.tables());
+            assert!((cost::phi(&tree, &coloring) - cost_value).abs() < 1e-9);
         }
-        // And the coloring drawn from the parallel tables is the optimum.
-        let (coloring, cost_value) = soar_color(&tree, ws.tables());
-        assert!((cost::phi(&tree, &coloring) - cost_value).abs() < 1e-9);
     }
 }
 
